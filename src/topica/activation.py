@@ -17,7 +17,15 @@ import numpy as np
 from .errors import BadPermutation, DimensionMismatch
 from .estimation import BasisModel, check_model_pairing
 from .images import PatchSet
-from .matrixio import format_float, read_matrix, read_meta, write_matrix, write_meta
+from .matrixio import (
+    format_float,
+    meta_float,
+    meta_str,
+    read_matrix,
+    read_meta,
+    write_matrix,
+    write_meta,
+)
 from .whitening import WhiteningModel, whiten
 
 ACTIVATIONS_FILE = "activations.ticm"
@@ -122,13 +130,14 @@ def save_trace(trace: ActivationTrace, directory) -> None:
 
 
 def load_trace(directory) -> ActivationTrace:
-    meta = read_meta(os.path.join(directory, META_FILE))
+    meta_path = os.path.join(directory, META_FILE)
+    meta = read_meta(meta_path)
     return ActivationTrace(
         activations=read_matrix(os.path.join(directory, ACTIVATIONS_FILE)),
         energies=read_matrix(os.path.join(directory, ENERGIES_FILE)),
-        frame_rate=float(meta["frame_rate"]),
-        model_ref=meta["model_ref"],
-        whitening_ref=meta["whitening_ref"],
+        frame_rate=meta_float(meta, "frame_rate", meta_path),
+        model_ref=meta_str(meta, "model_ref", meta_path),
+        whitening_ref=meta_str(meta, "whitening_ref", meta_path),
     )
 
 

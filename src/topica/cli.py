@@ -135,7 +135,7 @@ def cmd_train(args) -> int:
     estimation.save_basis(model_b, args.out)
     last = model_b.training_log[-1]
     print(f"trained {model_b.kind} model: {model_b.n_units} units, "
-          f"{len(model_b.training_log) - 1} iterations, "
+          f"{model_b.iterations} iterations, "
           f"final objective {format_float(last.objective)}")
     return 0
 

@@ -33,7 +33,18 @@ from .errors import (
     SingularMatrix,
 )
 from .images import PatchSet
-from .matrixio import content_hash, format_float, read_matrix, read_meta, write_matrix, write_meta
+from .matrixio import (
+    content_hash,
+    format_float,
+    meta_float,
+    meta_int,
+    meta_ints,
+    meta_str,
+    read_matrix,
+    read_meta,
+    write_matrix,
+    write_meta,
+)
 from .topography import Topography
 from .whitening import WhiteningModel, whiten
 
@@ -97,6 +108,11 @@ class BasisModel:
     @property
     def n_units(self) -> int:
         return self.filters.shape[0]
+
+    @property
+    def iterations(self) -> int:
+        """Training passes run; the log's iteration-0 row is the starting point."""
+        return self.training_log[-1].iteration if self.training_log else 0
 
     @property
     def patch_side(self) -> int:
@@ -341,7 +357,7 @@ def save_basis(model: BasisModel, directory) -> None:
         "radius": model.topo.radius,
         "whitening_ref": model.whitening_ref,
         "seed": model.seed,
-        "iterations": len(model.training_log),
+        "iterations": model.iterations,
     }
     identity = np.arange(model.topo.n_units)
     if not np.array_equal(model.topo.permutation, identity):
@@ -356,19 +372,20 @@ def save_basis(model: BasisModel, directory) -> None:
 
 
 def load_basis(directory) -> BasisModel:
-    meta = read_meta(os.path.join(directory, META_FILE))
+    meta_path = os.path.join(directory, META_FILE)
+    meta = read_meta(meta_path)
     filters = read_matrix(os.path.join(directory, FILTERS_FILE))
     basis = read_matrix(os.path.join(directory, BASIS_FILE))
-    kind = meta["kind"]
+    kind = meta_str(meta, "kind", meta_path)
     if kind not in ("TICA", "ICA"):
         raise FormatError(f"{directory}: unknown model kind {kind!r}")
     permutation = None
     if "permutation" in meta:
-        permutation = np.array([int(p) for p in meta["permutation"].split(",")], dtype=np.intp)
+        permutation = meta_ints(meta, "permutation", meta_path)
     topo = Topography(
-        width=int(meta["map_width"]),
-        height=int(meta["map_height"]),
-        radius=int(meta["radius"]),
+        width=meta_int(meta, "map_width", meta_path),
+        height=meta_int(meta, "map_height", meta_path),
+        radius=meta_int(meta, "radius", meta_path),
         permutation=permutation,
     )
     if filters.shape[0] != topo.n_units:
@@ -383,10 +400,10 @@ def load_basis(directory) -> BasisModel:
         filters=filters,
         basis=basis,
         topo=topo,
-        whitening_ref=meta["whitening_ref"],
+        whitening_ref=meta_str(meta, "whitening_ref", meta_path),
         kind=kind,
-        epsilon=float(meta["epsilon"]),
-        seed=int(meta["seed"]),
+        epsilon=meta_float(meta, "epsilon", meta_path),
+        seed=meta_int(meta, "seed", meta_path),
         training_log=log,
     )
 

@@ -63,15 +63,55 @@ def write_meta(path, entries: dict) -> None:
 def read_meta(path) -> dict:
     entries = {}
     with open(path, "r", encoding="ascii") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            entries[key.strip()] = value.strip()
+        try:
+            lines = f.readlines()
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: not an ASCII text file") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        entries[key.strip()] = value.strip()
     return entries
+
+
+def _meta_value(meta: dict, key: str, path, parse):
+    if key not in meta:
+        raise FormatError(f"{path}: missing key {key!r}")
+    try:
+        return parse(meta[key])
+    except ValueError:
+        raise FormatError(f"{path}: bad value for {key!r}: {meta[key]!r}") from None
+
+
+def meta_str(meta: dict, key: str, path) -> str:
+    """Required string entry of a header read by ``read_meta`` from ``path``."""
+    return _meta_value(meta, key, path, str)
+
+
+def meta_int(meta: dict, key: str, path) -> int:
+    """Required integer entry; FormatError names ``path`` and ``key``."""
+    return _meta_value(meta, key, path, int)
+
+
+def meta_float(meta: dict, key: str, path) -> float:
+    """Required float entry; FormatError names ``path`` and ``key``."""
+    return _meta_value(meta, key, path, float)
+
+
+def meta_ints(meta: dict, key: str, path) -> np.ndarray:
+    """Required comma-separated integer list, as an index array."""
+    return _meta_value(meta, key, path,
+                       lambda raw: np.array([int(v) for v in raw.split(",")], dtype=np.intp))
+
+
+def meta_floats(meta: dict, key: str, path) -> np.ndarray:
+    """Required comma-separated float list, as a float64 array."""
+    return _meta_value(meta, key, path,
+                       lambda raw: np.array([float(v) for v in raw.split(",")]))
 
 
 def content_hash(*parts) -> str:

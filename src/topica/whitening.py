@@ -4,8 +4,11 @@ The whitening transform is built from the eigendecomposition of the
 uncentered sample covariance (expectation form, divisor n_samples):
 rows of the transform are the top-k eigenvectors scaled by 1/sqrt of
 their eigenvalues, so the whitened training data has identity
-covariance. The decomposition itself runs through an SVD of the data
-matrix for numerical stability.
+covariance. The eigenvectors come from ``eigh`` of whichever Gram matrix
+is smaller: X^T X / T when there are no more pixels than samples, and
+otherwise X X^T / T, whose eigenvectors u map to those of X^T X / T as
+X^T u / sqrt(lambda T) (the method of snapshots, Sirovich 1987). The
+branch depends on the data shape alone, so refits are bit-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +20,16 @@ import numpy as np
 
 from .errors import BadK, DimensionMismatch, FormatError, RankDeficient
 from .images import PatchSet
-from .matrixio import content_hash, format_float, read_matrix, read_meta, write_matrix, write_meta
+from .matrixio import (
+    content_hash,
+    format_float,
+    meta_floats,
+    meta_int,
+    read_matrix,
+    read_meta,
+    write_matrix,
+    write_meta,
+)
 
 MIN_EIGENVALUE = 1e-12
 
@@ -74,19 +86,30 @@ def fit_whitening(patches: PatchSet, k: int) -> WhiteningModel:
         such that V @ V_inv = I and the whitened training data has
         identity covariance. Eigenvector signs follow the convention
         that the largest-magnitude entry of each eigenvector is positive.
+
+    Notes
+    -----
+    The eigendecomposition works on the smaller of the two Gram matrices,
+    a square of side min(n_samples, n_pixels), scaled in place.
     """
     data = patches.data
     n_samples, n_pixels = data.shape
     if not 1 <= k <= min(n_samples, n_pixels):
         raise BadK(f"k={k} outside 1..min({n_samples}, {n_pixels})")
-    # Singular values of X/sqrt(T) square to eigenvalues of X^T X / T.
-    _, svals, vt = np.linalg.svd(data / np.sqrt(n_samples), full_matrices=False)
-    eigenvalues = svals[:k] ** 2
+    snapshots = n_pixels > n_samples
+    gram = data @ data.T if snapshots else data.T @ data
+    gram /= n_samples
+    eigenvalues, vectors = np.linalg.eigh(gram)
+    # eigh sorts ascending; keep the top k in descending order.
+    eigenvalues = eigenvalues[::-1][:k]
+    vectors = vectors[:, ::-1][:, :k]
     if eigenvalues[-1] <= MIN_EIGENVALUE:
         raise RankDeficient(
             f"eigenvalue {k} of the sample covariance is {eigenvalues[-1]:.3e} <= {MIN_EIGENVALUE}"
         )
-    vectors = _fix_eigenvector_signs(vt[:k])
+    if snapshots:
+        vectors = data.T @ vectors / np.sqrt(eigenvalues * n_samples)
+    vectors = _fix_eigenvector_signs(vectors.T)
     scale = np.sqrt(eigenvalues)
     return WhiteningModel(
         transform=vectors / scale[:, None],
@@ -130,12 +153,13 @@ def save_whitening(model: WhiteningModel, directory) -> None:
 
 
 def load_whitening(directory) -> WhiteningModel:
-    meta = read_meta(os.path.join(directory, META_FILE))
+    meta_path = os.path.join(directory, META_FILE)
+    meta = read_meta(meta_path)
     transform = read_matrix(os.path.join(directory, TRANSFORM_FILE))
     inverse = read_matrix(os.path.join(directory, INVERSE_FILE))
-    k = int(meta["k"])
-    n_pixels = int(meta["n_pixels"])
-    eigenvalues = np.array([float(v) for v in meta["eigenvalues"].split(",")])
+    k = meta_int(meta, "k", meta_path)
+    n_pixels = meta_int(meta, "n_pixels", meta_path)
+    eigenvalues = meta_floats(meta, "eigenvalues", meta_path)
     if transform.shape != (k, n_pixels) or inverse.shape != (n_pixels, k):
         raise FormatError(f"{directory}: matrix shapes disagree with header")
     if eigenvalues.shape != (k,):

@@ -1,4 +1,7 @@
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import topica
 from topica.cli import RunConfig, load_run_config, main, parse_crop
 from topica.errors import ConfigError
 from topica.images import GrayImage, read_image, write_image
+from topica.matrixio import read_meta
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +143,54 @@ class TestTrainCommand:
     def test_inconsistent_k_is_usage_error(self, tmp_path, image_dir):
         assert main(["train", "--images", str(image_dir), "--out", str(tmp_path / "m"),
                      "--k", "10"]) == 1
+
+    def test_meta_iterations_match_cli(self, tmp_path, image_dir, capsys):
+        out = tmp_path / "m"
+        assert main(["train", "--images", str(image_dir), "--out", str(out),
+                     "--max-iters", "3"] + TRAIN_FLAGS[:-4]) == 0
+        printed = capsys.readouterr().out.split(" iterations")[0].rsplit(" ", 1)[1]
+        meta = read_meta(out / "basis.meta")
+        log_rows = (out / "training_log.csv").read_text().strip().splitlines()[1:]
+        assert meta["iterations"] == printed == str(len(log_rows) - 1)
+
+
+def _edit_meta(path, key, value):
+    """Rewrite one ``key = value`` line; value None drops the line."""
+    lines = [line for line in path.read_text().splitlines()
+             if line.split("=", 1)[0].strip() != key]
+    if value is not None:
+        lines.append(f"{key} = {value}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestMalformedModelMeta:
+    @pytest.mark.parametrize("meta_file, key, value", [
+        ("whitening.meta", "k", "four"),
+        ("whitening.meta", "k", None),
+        ("whitening.meta", "eigenvalues", "1,x"),
+        ("basis.meta", "map_width", "four"),
+        ("basis.meta", "seed", None),
+    ])
+    def test_activate_exits_2(self, tmp_path, model_dir, meta_file, key, value):
+        model = tmp_path / "model"
+        shutil.copytree(model_dir, model)
+        _edit_meta(model / meta_file, key, value)
+        # A separate interpreter, so an escaping exception shows as a traceback.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(topica.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "topica.cli", "activate", "--model", str(model),
+             "--bar", "vertical", "--out", str(tmp_path / "t")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("topica: error: ") and "Traceback" not in proc.stderr
+        assert meta_file in proc.stderr and repr(key) in proc.stderr
+
+    def test_non_ascii_meta_exits_2(self, tmp_path, model_dir, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(model_dir, model)
+        (model / "basis.meta").write_bytes(b"kind = \xff\n")
+        assert main(["render", "--model", str(model), "--out", str(tmp_path / "m.pgm")]) == 2
+        assert "basis.meta" in capsys.readouterr().err
 
 
 class TestActivateCommand:

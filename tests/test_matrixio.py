@@ -11,6 +11,11 @@ from topica.errors import FormatError
 from topica.matrixio import (
     content_hash,
     format_float,
+    meta_float,
+    meta_floats,
+    meta_int,
+    meta_ints,
+    meta_str,
     read_matrix,
     read_meta,
     write_matrix,
@@ -93,6 +98,38 @@ def test_meta_rejects_garbage_line(tmp_path):
     path.write_text("just some words\n")
     with pytest.raises(FormatError):
         read_meta(path)
+
+
+def test_meta_rejects_non_ascii(tmp_path):
+    path = tmp_path / "x.meta"
+    path.write_bytes(b"k = \xe9\n")
+    with pytest.raises(FormatError, match="x.meta"):
+        read_meta(path)
+
+
+def test_typed_meta_accessors(tmp_path):
+    path = tmp_path / "x.meta"
+    meta = {"kind": "TICA", "k": "64", "eps": "0.25", "perm": "2,0,1", "ev": "1.5,0.5"}
+    assert meta_str(meta, "kind", path) == "TICA"
+    assert meta_int(meta, "k", path) == 64
+    assert meta_float(meta, "eps", path) == 0.25
+    npt.assert_array_equal(meta_ints(meta, "perm", path), [2, 0, 1])
+    npt.assert_array_equal(meta_floats(meta, "ev", path), [1.5, 0.5])
+
+
+@pytest.mark.parametrize("accessor, raw", [
+    (meta_int, "four"), (meta_int, "1.5"), (meta_float, "x"),
+    (meta_ints, "1,,2"), (meta_floats, "1,x"), (meta_floats, ""),
+])
+def test_typed_meta_accessor_rejects_bad_value(tmp_path, accessor, raw):
+    path = tmp_path / "x.meta"
+    with pytest.raises(FormatError, match=r"x\.meta: bad value for 'v'"):
+        accessor({"v": raw}, "v", path)
+
+
+def test_typed_meta_accessor_rejects_missing_key(tmp_path):
+    with pytest.raises(FormatError, match=r"x\.meta: missing key 'v'"):
+        meta_str({}, "v", tmp_path / "x.meta")
 
 
 @settings(deadline=None, max_examples=100)

@@ -117,3 +117,47 @@ def test_deterministic_fit(small_patches):
     b = fit_whitening(small_patches, 16)
     npt.assert_array_equal(a.transform, b.transform)
     assert a.identity_hash() == b.identity_hash()
+
+
+# More pixels than samples (p = 64 > T = 40): the fit takes the T x T Gram
+# matrix and maps its eigenvectors back to pixel space.
+WIDE_K = 30
+
+
+@pytest.fixture()
+def wide_patches(rng):
+    return random_patches(rng, count=40, side=8)
+
+
+def test_wide_fit_matches_svd_oracle(wide_patches):
+    data = wide_patches.data
+    model = fit_whitening(wide_patches, WIDE_K)
+    _, svals, vt = np.linalg.svd(data / np.sqrt(data.shape[0]), full_matrices=False)
+    vectors = vt[:WIDE_K]
+    vectors *= np.sign(vectors[np.arange(WIDE_K), np.argmax(np.abs(vectors), axis=1)])[:, None]
+    npt.assert_allclose(model.eigenvalues, svals[:WIDE_K] ** 2, rtol=1e-12)
+    npt.assert_allclose(model.transform, vectors / svals[:WIDE_K, None], rtol=1e-9, atol=1e-12)
+
+
+def test_wide_fit_whitens_and_inverts(wide_patches):
+    model = fit_whitening(wide_patches, WIDE_K)
+    z = whiten(model, wide_patches)
+    npt.assert_allclose(z.T @ z / z.shape[0], np.eye(WIDE_K), atol=1e-10)
+    npt.assert_allclose(model.transform @ model.inverse, np.eye(WIDE_K), atol=1e-10)
+
+
+def test_wide_fit_sign_convention(wide_patches):
+    model = fit_whitening(wide_patches, WIDE_K)
+    vectors = model.transform * np.sqrt(model.eigenvalues)[:, None]
+    for row in vectors:
+        assert row[np.argmax(np.abs(row))] > 0
+
+
+def test_wide_duplicated_rows_rank_deficient(rng):
+    # 20 distinct rows, each twice: rank 20, so eigenvalue 21 is exactly zero
+    # and shows only as the Gram matrix's roundoff.
+    half = random_patches(rng, count=20, side=8).data
+    ps = PatchSet(np.vstack([half, half]), 8, per_patch_mean_removed=True)
+    assert fit_whitening(ps, 20).eigenvalues[-1] > 1e-3
+    with pytest.raises(RankDeficient):
+        fit_whitening(ps, 21)
