@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadPermutation, DimensionMismatch
+from .errors import BadPermutation, DimensionMismatch, ModelMismatch
 from .estimation import BasisModel, check_model_pairing
 from .images import PatchSet
 from .matrixio import (
@@ -82,7 +82,6 @@ def reconstruct(model: BasisModel, trace: ActivationTrace) -> PatchSet:
     match the original patches only up to the discarded components.
     """
     if trace.model_ref != model.identity_hash():
-        from .errors import ModelMismatch
         raise ModelMismatch("trace was computed from a different basis model")
     data = trace.activations @ model.basis.T
     return PatchSet(data=data, patch_side=model.patch_side, source_tag="reconstruction",

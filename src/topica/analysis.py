@@ -57,16 +57,7 @@ class PermutationResult:
     n_permutations: int
 
 
-def _lagged_pearson(series: np.ndarray, lag: int) -> float:
-    """Pearson correlation of a series with itself shifted by `lag`.
-
-    Each segment is centered on its own mean, so the estimate stays
-    unbiased when the series drifts.
-    """
-    if lag == 0:
-        return 1.0
-    a = series[:-lag]
-    b = series[lag:]
+def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     a = a - a.mean()
     b = b - b.mean()
     denom = np.sqrt((a * a).sum() * (b * b).sum())
@@ -76,11 +67,18 @@ def _lagged_pearson(series: np.ndarray, lag: int) -> float:
 
 
 def _per_unit_autocorr(values: np.ndarray, max_lag: int, included: np.ndarray) -> np.ndarray:
+    """Lag-0..max_lag autocorrelation of each included column.
+
+    Each lagged segment is centered on its own mean, so the estimate
+    stays unbiased when the series drifts.
+    """
     n_units = values.shape[1]
     out = np.full((n_units, max_lag + 1), np.nan)
     for i in np.flatnonzero(included):
-        for lag in range(max_lag + 1):
-            out[i, lag] = _lagged_pearson(values[:, i], lag)
+        series = values[:, i]
+        out[i, 0] = 1.0
+        for lag in range(1, max_lag + 1):
+            out[i, lag] = _pearson(series[:-lag], series[lag:])
     return out
 
 
@@ -120,15 +118,6 @@ def autocorrelation(trace: ActivationTrace, max_lag: int, shuffle_seed: int = 0,
         frame_rate=trace.frame_rate,
         n_excluded=n_excluded,
     )
-
-
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    a = a - a.mean()
-    b = b - b.mean()
-    denom = np.sqrt((a * a).sum() * (b * b).sum())
-    if denom == 0.0:
-        return np.nan
-    return float((a * b).sum() / denom)
 
 
 def adjacent_correlation(trace: ActivationTrace, topo: Topography) -> AdjacencyReport:

@@ -10,8 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,23 +25,46 @@ HEATMAP_DIR = "heatmaps"
 RECON_DIR = "recon"
 
 
+def _parse_ints(text: str, name: str, layout: str) -> tuple:
+    """Comma-separated integers, one for each comma-separated name in `layout`."""
+    parts = text.split(",")
+    if len(parts) != len(layout.split(",")):
+        raise ConfigError(f"{name} must be {layout}, got {text!r}")
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError:
+        raise ConfigError(f"{name} values must be integers, got {text!r}") from None
+
+
+def parse_crop(text: str) -> tuple:
+    left, top, width, height = _parse_ints(text, "crop", "left,top,width,height")
+    if width < 1 or height < 1 or left < 0 or top < 0:
+        raise ConfigError(f"bad crop rectangle {text!r}")
+    return left, top, width, height
+
+
 @dataclass
 class RunConfig:
-    """Training pipeline settings from a `key = value` file and/or flags."""
+    """Training pipeline settings from a `key = value` file and/or flags.
+
+    Each field is both a config key and the `train` flag `--name` (with
+    `-` for `_`). Both are parsed by `type(default)`, or by the field's
+    `parse` metadata when it has one.
+    """
 
     patch_side: int = 9
     n_patches: int = 20000
-    k: int = 64
+    k: int = field(default=64, metadata={"help": "retained principal components (= map cells)"})
     map_width: int = 8
     map_height: int = 8
-    radius: int = 1
+    radius: int = field(default=1, metadata={"help": "pooling radius; 0 trains plain ICA"})
     epsilon: float = 0.005
     step0: float = 0.1
     max_iters: int = 200
     tol: float = 1e-4
     seed: int = 0
-    frame_rate: float = 24.0
-    crop: tuple | None = None    # (left, top, width, height)
+    crop: tuple | None = field(default=None, metadata={
+        "parse": parse_crop, "help": "left,top,width,height applied to every image"})
     batch_size: int = 0
 
     def validate(self) -> None:
@@ -57,33 +79,13 @@ class RunConfig:
                               f"{self.map_width}x{self.map_height}")
         if self.radius < 0:
             raise ConfigError(f"radius must be >= 0, got {self.radius}")
-        if self.frame_rate <= 0:
-            raise ConfigError(f"frame_rate must be > 0, got {self.frame_rate}")
         if self.k != self.map_width * self.map_height:
             raise ConfigError(f"k = {self.k} but the map has "
                               f"{self.map_width * self.map_height} cells")
         # Step sizes, epsilon, iteration counts get range-checked by TrainConfig.
 
 
-def parse_crop(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ConfigError(f"crop must be left,top,width,height, got {text!r}")
-    try:
-        left, top, width, height = (int(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"crop values must be integers, got {text!r}") from None
-    if width < 1 or height < 1 or left < 0 or top < 0:
-        raise ConfigError(f"bad crop rectangle {text!r}")
-    return left, top, width, height
-
-
-_CONFIG_PARSERS = {
-    "patch_side": int, "n_patches": int, "k": int, "map_width": int,
-    "map_height": int, "radius": int, "epsilon": float, "step0": float,
-    "max_iters": int, "tol": float, "seed": int, "frame_rate": float,
-    "crop": parse_crop, "batch_size": int,
-}
+_FIELD_PARSERS = {f.name: f.metadata.get("parse", type(f.default)) for f in fields(RunConfig)}
 
 
 def load_run_config(path=None, overrides=None) -> RunConfig:
@@ -91,10 +93,10 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
     config = RunConfig()
     if path is not None:
         for key, raw in read_meta(path).items():
-            if key not in _CONFIG_PARSERS:
+            if key not in _FIELD_PARSERS:
                 raise ConfigError(f"{path}: unknown config key {key!r}")
             try:
-                setattr(config, key, _CONFIG_PARSERS[key](raw))
+                setattr(config, key, _FIELD_PARSERS[key](raw))
             except ValueError:
                 raise ConfigError(f"{path}: bad value for {key}: {raw!r}") from None
     for key, value in (overrides or {}).items():
@@ -112,11 +114,7 @@ def _train_config(config: RunConfig) -> estimation.TrainConfig:
 
 
 def cmd_train(args) -> int:
-    overrides = {name: getattr(args, name) for name in
-                 ("patch_side", "n_patches", "k", "map_width", "map_height", "radius",
-                  "epsilon", "step0", "max_iters", "tol", "seed", "batch_size")}
-    if args.crop is not None:
-        overrides["crop"] = parse_crop(args.crop)
+    overrides = {name: getattr(args, name) for name in _FIELD_PARSERS}
     config = load_run_config(args.config, overrides)
     loaded = images.load_images(args.images)
     prepared = []
@@ -156,7 +154,7 @@ def _prepare_frames(args, seq: images.FrameSequence) -> images.FrameSequence:
     frames = []
     for frame in seq.frames:
         if args.crop is not None:
-            left, top, width, height = parse_crop(args.crop)
+            left, top, width, height = args.crop
             frame = images.crop_image(frame, top, left, height, width)
         if args.resize_width is not None:
             frame = images.resize_to_width(frame, args.resize_width)
@@ -164,27 +162,12 @@ def _prepare_frames(args, seq: images.FrameSequence) -> images.FrameSequence:
     return images.FrameSequence(frames=frames, frame_rate=seq.frame_rate)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TOPICA_THREADS", "")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"TOPICA_THREADS must be an integer, got {raw!r}") from None
-        if value < 1:
-            raise ConfigError(f"TOPICA_THREADS must be >= 1, got {value}")
-        return value
-    return min(4, os.cpu_count() or 1)
-
-
 def _render_frames(arrays, lo: float, hi: float, directory) -> None:
-    """Render frames concurrently, then write files in frame order."""
+    """Write one PGM per frame, in frame order."""
     os.makedirs(directory, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        rendered = list(pool.map(lambda a: images.GrayImage(np.ascontiguousarray(a)), arrays))
-    for t, img in enumerate(rendered):
+    for t, values in enumerate(arrays):
         path = os.path.join(directory, images.FRAME_NAME_FORMAT.format(t))
-        images.write_image(path, img, lo=lo, hi=hi)
+        images.write_image(path, images.GrayImage(values), lo=lo, hi=hi)
 
 
 def _upscale(grid: np.ndarray, scale: int) -> np.ndarray:
@@ -219,7 +202,7 @@ def cmd_activate(args) -> int:
         if frame_rate is None:
             frame_rate = seq.frame_rate
         if args.origin is not None:
-            left, top = (int(p) for p in args.origin.split(","))
+            left, top = args.origin
             origin = (top, left)
         else:
             origin = _centered_origin(seq, model.patch_side)
@@ -342,19 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--images", required=True, help="directory of PGM/PPM images")
     p_train.add_argument("--out", required=True, help="output directory for model files")
     p_train.add_argument("--config", help="key = value config file")
-    p_train.add_argument("--patch-side", dest="patch_side", type=int)
-    p_train.add_argument("--n-patches", dest="n_patches", type=int)
-    p_train.add_argument("--k", type=int, help="retained principal components (= map cells)")
-    p_train.add_argument("--map-width", dest="map_width", type=int)
-    p_train.add_argument("--map-height", dest="map_height", type=int)
-    p_train.add_argument("--radius", type=int, help="pooling radius; 0 trains plain ICA")
-    p_train.add_argument("--epsilon", type=float)
-    p_train.add_argument("--step0", type=float)
-    p_train.add_argument("--max-iters", dest="max_iters", type=int)
-    p_train.add_argument("--tol", type=float)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int)
-    p_train.add_argument("--crop", help="left,top,width,height applied to every image")
+    for f in fields(RunConfig):
+        p_train.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                             type=_FIELD_PARSERS[f.name], help=f.metadata.get("help"))
     p_train.set_defaults(func=cmd_train)
 
     p_act = sub.add_parser("activate", help="run a model over frames, a bar, or a probe")
@@ -366,9 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="synthetic moving-bar stimulus")
     source.add_argument("--probe", type=int, metavar="UNIT",
                         help="single-basis probe patch for one unit")
-    p_act.add_argument("--origin", help="top-left patch corner as left,top "
-                                        "(default: frame center)")
-    p_act.add_argument("--crop", help="left,top,width,height applied to every frame")
+    p_act.add_argument("--origin", type=lambda text: _parse_ints(text, "origin", "left,top"),
+                       help="top-left patch corner as left,top (default: frame center)")
+    p_act.add_argument("--crop", type=parse_crop,
+                       help="left,top,width,height applied to every frame")
     p_act.add_argument("--resize-width", dest="resize_width", type=int)
     p_act.add_argument("--frame-rate", dest="frame_rate", type=float)
     p_act.add_argument("--bar-frames", dest="bar_frames", type=int, default=16)

@@ -393,9 +393,13 @@ def load_basis(directory) -> BasisModel:
     log = []
     log_path = os.path.join(directory, LOG_FILE)
     if os.path.exists(log_path):
-        with open(log_path, newline="", encoding="ascii") as f:
-            for row in list(csv.reader(f))[1:]:
-                log.append(TrainingRecord(int(row[0]), float(row[1]), float(row[2]), float("nan")))
+        # UnicodeDecodeError (non-ASCII bytes) is a ValueError too.
+        try:
+            with open(log_path, newline="", encoding="ascii") as f:
+                log = [TrainingRecord(int(row[0]), float(row[1]), float(row[2]), float("nan"))
+                       for row in list(csv.reader(f))[1:]]
+        except (ValueError, IndexError):
+            raise FormatError(f"{log_path}: rows must be iter,objective,step") from None
     return BasisModel(
         filters=filters,
         basis=basis,

@@ -271,7 +271,11 @@ def read_image(path) -> GrayImage:
         magic = f.read(2)
         if magic not in (b"P5", b"P6"):
             raise FormatError(f"{path}: expected binary PGM/PPM, got magic {magic!r}")
-        width, height, maxval = (int(v) for v in _read_pnm_header(f, 3))
+        fields = _read_pnm_header(f, 3)
+        try:
+            width, height, maxval = (int(v) for v in fields)
+        except ValueError:
+            raise FormatError(f"{path}: non-integer PNM header field in {fields!r}") from None
         if width < 1 or height < 1:
             raise FormatError(f"{path}: bad dimensions {width}x{height}")
         if not 0 < maxval <= 255:

@@ -64,7 +64,8 @@ def _torus_deltas(coords: np.ndarray, period: int) -> np.ndarray:
     return np.minimum(d, period - d)
 
 
-def _distance_matrix(topo: Topography) -> np.ndarray:
+def pairwise_distances(topo: Topography) -> np.ndarray:
+    """(n, n) matrix of torus Chebyshev distances between unit cells."""
     cells = topo.cells()
     dx = _torus_deltas(cells[:, 0], topo.width)
     dy = _torus_deltas(cells[:, 1], topo.height)
@@ -72,7 +73,7 @@ def _distance_matrix(topo: Topography) -> np.ndarray:
 
 
 def _neighborhood_matrix(topo: Topography) -> np.ndarray:
-    return (_distance_matrix(topo) <= topo.radius).astype(np.float64)
+    return (pairwise_distances(topo) <= topo.radius).astype(np.float64)
 
 
 def build_topography(width: int, height: int, radius: int) -> Topography:
@@ -85,15 +86,7 @@ def torus_distance(topo: Topography, i: int, j: int) -> int:
     n = topo.n_units
     if not (0 <= i < n and 0 <= j < n):
         raise IndexOutOfRange(f"unit indices ({i}, {j}) outside 0..{n - 1}")
-    cells = topo.cells()
-    dx = abs(int(cells[i, 0]) - int(cells[j, 0]))
-    dy = abs(int(cells[i, 1]) - int(cells[j, 1]))
-    return max(min(dx, topo.width - dx), min(dy, topo.height - dy))
-
-
-def pairwise_distances(topo: Topography) -> np.ndarray:
-    """(n, n) matrix of torus Chebyshev distances between unit cells."""
-    return _distance_matrix(topo)
+    return int(pairwise_distances(topo)[i, j])
 
 
 def shuffle_topography(topo: Topography, seed: int) -> Topography:
@@ -121,6 +114,6 @@ def apply_permutation(topo: Topography, perm: np.ndarray) -> Topography:
 
 def adjacent_pairs(topo: Topography) -> np.ndarray:
     """All unordered unit pairs at torus Chebyshev distance exactly 1."""
-    dist = _distance_matrix(topo)
+    dist = pairwise_distances(topo)
     i, j = np.nonzero(np.triu(dist == 1, k=1))
     return np.stack([i, j], axis=1)

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import os
 import shutil
 import subprocess
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 import topica
-from topica.cli import RunConfig, load_run_config, main, parse_crop
+from topica.cli import RunConfig, build_parser, load_run_config, main, parse_crop
 from topica.errors import ConfigError
 from topica.images import GrayImage, read_image, write_image
 from topica.matrixio import read_meta
@@ -101,6 +103,55 @@ class TestRunConfig:
             parse_crop("1,2,0,4")
 
 
+TRAIN_DESTS = ["patch_side", "n_patches", "k", "map_width", "map_height", "radius",
+               "epsilon", "step0", "max_iters", "tol", "seed", "batch_size", "crop"]
+
+
+def _train_subparser():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["train"]
+
+
+class TestGeneratedTrainFlags:
+    def test_one_option_per_field(self):
+        names = [f.name for f in dataclasses.fields(RunConfig)]
+        assert sorted(names) == sorted(TRAIN_DESTS)
+        options = [a for a in _train_subparser()._actions
+                   if a.dest not in ("help", "images", "out", "config")]
+        assert sorted(a.dest for a in options) == sorted(TRAIN_DESTS)
+        for action in options:
+            assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+            assert action.default is None
+
+    def test_every_field_is_a_config_key(self, tmp_path):
+        values = {"patch_side": 6, "n_patches": 500, "k": 9, "map_width": 3, "map_height": 3,
+                  "radius": 0, "epsilon": 0.01, "step0": 0.2, "max_iters": 7, "tol": 0.001,
+                  "seed": 4, "batch_size": 100, "crop": (1, 2, 30, 40)}
+        assert sorted(values) == sorted(TRAIN_DESTS)
+        path = tmp_path / "run.conf"
+        path.write_text("".join(
+            f"{key} = {','.join(map(str, value)) if key == 'crop' else value}\n"
+            for key, value in values.items()))
+        assert dataclasses.asdict(load_run_config(path)) == values
+
+    def test_crop_same_from_file_and_flag(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("crop = 1,2,30,40\n")
+        args = _train_subparser().parse_args(["--images", "i", "--out", "o",
+                                              "--crop", "1,2,30,40"])
+        assert args.crop == load_run_config(path).crop == (1, 2, 30, 40)
+        assert load_run_config(None, {"crop": args.crop}).crop == (1, 2, 30, 40)
+
+    def test_frame_rate_key_rejected(self, tmp_path, image_dir, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("frame_rate = 30\n")
+        out = tmp_path / "m"
+        assert main(["train", "--images", str(image_dir), "--out", str(out),
+                     "--config", str(conf)]) == 1
+        assert "unknown config key 'frame_rate'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrainCommand:
     def test_writes_model_files(self, model_dir):
         for name in ["whitening_matrix.ticm", "dewhitening_matrix.ticm",
@@ -143,6 +194,13 @@ class TestTrainCommand:
     def test_inconsistent_k_is_usage_error(self, tmp_path, image_dir):
         assert main(["train", "--images", str(image_dir), "--out", str(tmp_path / "m"),
                      "--k", "10"]) == 1
+
+    def test_non_integer_pnm_header_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "imgs"
+        bad.mkdir()
+        (bad / "x.pgm").write_bytes(b"P5\n4 x\n255\n" + bytes(16))
+        assert main(["train", "--images", str(bad), "--out", str(tmp_path / "m")]) == 2
+        assert "x.pgm" in capsys.readouterr().err
 
     def test_meta_iterations_match_cli(self, tmp_path, image_dir, capsys):
         out = tmp_path / "m"
@@ -191,6 +249,24 @@ class TestMalformedModelMeta:
         (model / "basis.meta").write_bytes(b"kind = \xff\n")
         assert main(["render", "--model", str(model), "--out", str(tmp_path / "m.pgm")]) == 2
         assert "basis.meta" in capsys.readouterr().err
+
+
+def _run_cli(*argv):
+    """Run the CLI in a separate interpreter, so an escaping exception shows as a traceback."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(topica.__file__)))
+    return subprocess.run([sys.executable, "-m", "topica.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+class TestMalformedTrainingLog:
+    @pytest.mark.parametrize("row", ["2,abc,0.1", "2,0.5"])
+    def test_render_exits_2(self, tmp_path, model_dir, capsys, row):
+        model = tmp_path / "model"
+        shutil.copytree(model_dir, model)
+        with open(model / "training_log.csv", "a", encoding="ascii") as f:
+            f.write(row + "\n")
+        assert main(["render", "--model", str(model), "--out", str(tmp_path / "m.pgm")]) == 2
+        assert "training_log.csv" in capsys.readouterr().err
 
 
 class TestActivateCommand:
@@ -245,14 +321,19 @@ class TestActivateCommand:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_thread_env_respected(self, tmp_path, model_dir, monkeypatch):
-        monkeypatch.setenv("TOPICA_THREADS", "1")
-        out = tmp_path / "bar1"
-        assert main(["activate", "--model", str(model_dir), "--bar", "vertical",
-                     "--out", str(out)]) == 0
-        monkeypatch.setenv("TOPICA_THREADS", "zero")
-        assert main(["activate", "--model", str(model_dir), "--bar", "vertical",
-                     "--out", str(tmp_path / "bar2")]) == 1
+    def test_bad_crop_exits_1_without_output(self, tmp_path, model_dir, frames_dir):
+        out = tmp_path / "t"
+        assert main(["activate", "--model", str(model_dir), "--frames", str(frames_dir),
+                     "--crop", "1,2", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("origin", ["abc", "1", "1,2,3"])
+    def test_bad_origin_exits_1(self, tmp_path, model_dir, frames_dir, origin):
+        proc = _run_cli("activate", "--model", str(model_dir), "--frames", str(frames_dir),
+                        "--origin", origin, "--out", str(tmp_path / "t"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("topica: error: ") and "Traceback" not in proc.stderr
+        assert not (tmp_path / "t").exists()
 
 
 class TestAnalyzeCommand:

@@ -221,6 +221,13 @@ class TestPnmIO:
         with pytest.raises(FormatError):
             read_image(path)
 
+    @pytest.mark.parametrize("header", [b"4 x\n255\n", b"4 4\n2.5e2\n"])
+    def test_non_integer_header_field(self, tmp_path, header):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n" + header + bytes(16))
+        with pytest.raises(FormatError, match=r"x\.pgm"):
+            read_image(path)
+
     def test_to_grayscale_weights(self):
         rgb = np.zeros((1, 2, 3))
         rgb[0, 0] = [1.0, 0.0, 0.0]
