@@ -16,7 +16,7 @@ import numpy as np
 
 from . import activation as act
 from . import analysis, estimation, images, stimulus, whitening as whit
-from .errors import ConfigError, TopicaError
+from .errors import BadDimensions, ConfigError, TopicaError
 from .matrixio import format_float, read_meta
 from .topography import Topography, build_topography, shuffle_topography
 
@@ -36,6 +36,13 @@ def _parse_ints(text: str, name: str, layout: str) -> tuple:
         raise ConfigError(f"{name} values must be integers, got {text!r}") from None
 
 
+def _parse_frame_rate(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"frame rate must be finite and > 0, got {text!r}")
+    return value
+
+
 def parse_crop(text: str) -> tuple:
     left, top, width, height = _parse_ints(text, "crop", "left,top,width,height")
     if width < 1 or height < 1 or left < 0 or top < 0:
@@ -44,9 +51,11 @@ def parse_crop(text: str) -> tuple:
 
 
 @dataclass
-class RunConfig:
+class RunConfig(estimation.TrainConfig):
     """Training pipeline settings from a `key = value` file and/or flags.
 
+    The training fields and their range checks come from `TrainConfig`;
+    this class adds the pipeline fields and the CLI's `max_iters` default.
     Each field is both a config key and the `train` flag `--name` (with
     `-` for `_`). Both are parsed by `type(default)`, or by the field's
     `parse` metadata when it has one.
@@ -58,31 +67,23 @@ class RunConfig:
     map_width: int = 8
     map_height: int = 8
     radius: int = field(default=1, metadata={"help": "pooling radius; 0 trains plain ICA"})
-    epsilon: float = 0.005
-    step0: float = 0.1
     max_iters: int = 200
-    tol: float = 1e-4
-    seed: int = 0
     crop: tuple | None = field(default=None, metadata={
         "parse": parse_crop, "help": "left,top,width,height applied to every image"})
-    batch_size: int = 0
 
     def validate(self) -> None:
+        super().validate()
         if self.patch_side < 2:
             raise ConfigError(f"patch_side must be >= 2, got {self.patch_side}")
         if self.n_patches < 1:
             raise ConfigError(f"n_patches must be >= 1, got {self.n_patches}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.map_width < 1 or self.map_height < 1:
-            raise ConfigError(f"map must be at least 1x1, got "
-                              f"{self.map_width}x{self.map_height}")
-        if self.radius < 0:
-            raise ConfigError(f"radius must be >= 0, got {self.radius}")
+        try:
+            build_topography(self.map_width, self.map_height, self.radius)
+        except BadDimensions as exc:
+            raise ConfigError(str(exc)) from None
         if self.k != self.map_width * self.map_height:
             raise ConfigError(f"k = {self.k} but the map has "
                               f"{self.map_width * self.map_height} cells")
-        # Step sizes, epsilon, iteration counts get range-checked by TrainConfig.
 
 
 _FIELD_PARSERS = {f.name: f.metadata.get("parse", type(f.default)) for f in fields(RunConfig)}
@@ -106,13 +107,6 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
     return config
 
 
-def _train_config(config: RunConfig) -> estimation.TrainConfig:
-    return estimation.TrainConfig(
-        step0=config.step0, epsilon=config.epsilon, max_iters=config.max_iters,
-        tol=config.tol, seed=config.seed, batch_size=config.batch_size,
-    )
-
-
 def cmd_train(args) -> int:
     overrides = {name: getattr(args, name) for name in _FIELD_PARSERS}
     config = load_run_config(args.config, overrides)
@@ -127,7 +121,7 @@ def cmd_train(args) -> int:
         prepared, config.patch_side, config.n_patches, config.seed)
     model_w = whit.fit_whitening(patches, config.k)
     topo = build_topography(config.map_width, config.map_height, config.radius)
-    model_b = estimation.train(patches, model_w, topo, _train_config(config))
+    model_b = estimation.train(patches, model_w, topo, config)
     os.makedirs(args.out, exist_ok=True)
     whit.save_whitening(model_w, args.out)
     estimation.save_basis(model_b, args.out)
@@ -233,13 +227,12 @@ def cmd_activate(args) -> int:
 
 def cmd_analyze(args) -> int:
     trace = act.load_trace(args.trace)
-    os.makedirs(args.out, exist_ok=True)
-    summary_path = os.path.join(args.out, "summary.txt")
+    table = None
     if args.mode == "autocorr":
         report = analysis.autocorrelation(trace, args.max_lag,
                                           shuffle_seed=args.shuffle_baseline,
                                           use_energy=args.energy)
-        analysis.write_autocorr_csv(report, os.path.join(args.out, "autocorr.csv"))
+        table = ("autocorr.csv", analysis.write_autocorr_csv)
         summary = analysis.format_summary(autocorr=report)
     elif args.mode == "adjacency":
         topo = _analysis_topo(args)
@@ -252,13 +245,17 @@ def cmd_analyze(args) -> int:
             report = analysis.compare_adjacency(report, other,
                                                 n_permutations=args.permutations,
                                                 seed=args.seed)
-        analysis.write_adjacency_csv(report, os.path.join(args.out, "adjacency.csv"))
+        table = ("adjacency.csv", analysis.write_adjacency_csv)
         summary = analysis.format_summary(adjacency=report)
     else:
         topo = _analysis_topo(args)
         value = analysis.cluster_locality(trace, topo, args.k)
         summary = analysis.format_summary(locality=value, locality_k=args.k)
-    with open(summary_path, "w", encoding="ascii") as f:
+    os.makedirs(args.out, exist_ok=True)
+    if table is not None:
+        name, write = table
+        write(report, os.path.join(args.out, name))
+    with open(os.path.join(args.out, "summary.txt"), "w", encoding="ascii") as f:
         f.write(summary)
     sys.stdout.write(summary)
     return 0
@@ -344,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_act.add_argument("--crop", type=parse_crop,
                        help="left,top,width,height applied to every frame")
     p_act.add_argument("--resize-width", dest="resize_width", type=int)
-    p_act.add_argument("--frame-rate", dest="frame_rate", type=float)
+    p_act.add_argument("--frame-rate", dest="frame_rate", type=_parse_frame_rate)
     p_act.add_argument("--bar-frames", dest="bar_frames", type=int, default=16)
     p_act.add_argument("--bar-thickness", dest="bar_thickness", type=int, default=1)
     p_act.set_defaults(func=cmd_activate)

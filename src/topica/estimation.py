@@ -59,17 +59,25 @@ META_FILE = "basis.meta"
 LOG_FILE = "training_log.csv"
 
 
+# Held-out samples that score each pass (at most a fifth of the data).
+HOLDOUT_SIZE = 1000
+
+
 @dataclass
 class TrainConfig:
+    """Gradient-ascent settings, range-checked by `validate` on construction."""
+
     step0: float = 0.1
     epsilon: float = 0.005
     max_iters: int = 500
     tol: float = 1e-4
     seed: int = 0
     batch_size: int = 0          # 0 = full batch
-    holdout_size: int = 1000
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         if self.step0 <= 0:
             raise ConfigError(f"step0 must be > 0, got {self.step0}")
         if self.epsilon <= 0:
@@ -80,8 +88,6 @@ class TrainConfig:
             raise ConfigError(f"tol must be >= 0, got {self.tol}")
         if self.batch_size < 0:
             raise ConfigError(f"batch_size must be >= 0, got {self.batch_size}")
-        if self.holdout_size < 1:
-            raise ConfigError(f"holdout_size must be >= 1, got {self.holdout_size}")
 
 
 @dataclass
@@ -146,23 +152,24 @@ def _score_deriv(u: np.ndarray, epsilon: float) -> np.ndarray:
     return -0.5 / np.sqrt(epsilon + u)
 
 
-def _check_dims(filters: np.ndarray, z: np.ndarray, topo: Topography) -> None:
+def _pooled(filters: np.ndarray, batch: np.ndarray, topo: Topography) -> tuple:
+    """Responses (T, n) of a whitened (T, k) batch and their pooled energies u."""
     n, k = filters.shape
     if n != topo.n_units:
         raise DimensionMismatch(f"{n} filters for a {topo.n_units}-unit lattice")
-    if z.shape[-1] != k:
-        raise DimensionMismatch(f"samples have {z.shape[-1]} dims, filters expect {k}")
+    if batch.shape[-1] != k:
+        raise DimensionMismatch(f"samples have {batch.shape[-1]} dims, filters expect {k}")
+    responses = batch @ filters.T
+    return responses, (responses * responses) @ topo.h    # h is symmetric
 
 
 def local_energies(filters: np.ndarray, z: np.ndarray, topo: Topography) -> np.ndarray:
     """Neighborhood-pooled squared responses u_i for one whitened sample."""
-    filters = np.asarray(filters, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
         raise DimensionMismatch(f"expected a single sample vector, got shape {z.shape}")
-    _check_dims(filters, z, topo)
-    responses = filters @ z
-    return topo.h @ (responses * responses)
+    _, pooled = _pooled(np.asarray(filters, dtype=np.float64), z[None], topo)
+    return pooled[0]
 
 
 def tica_objective(filters: np.ndarray, batch: np.ndarray, topo: Topography,
@@ -172,11 +179,8 @@ def tica_objective(filters: np.ndarray, batch: np.ndarray, topo: Topography,
     J = (1/T) sum_t sum_i G(u_i(t)) with G(u) = -sqrt(epsilon + u) and
     u_i(t) the neighborhood-pooled squared responses of sample t.
     """
-    filters = np.asarray(filters, dtype=np.float64)
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    _check_dims(filters, batch, topo)
-    responses = batch @ filters.T
-    pooled = (responses * responses) @ topo.h    # h is symmetric
+    _, pooled = _pooled(np.asarray(filters, dtype=np.float64), batch, topo)
     return float(_score(pooled, epsilon).sum() / batch.shape[0])
 
 
@@ -189,11 +193,8 @@ def tica_gradient(filters: np.ndarray, batch: np.ndarray, topo: Topography,
     feeds every neighborhood containing i, and differentiating the
     square contributes the factor 2.
     """
-    filters = np.asarray(filters, dtype=np.float64)
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    _check_dims(filters, batch, topo)
-    responses = batch @ filters.T                      # (T, n)
-    pooled = (responses * responses) @ topo.h          # (T, n)
+    responses, pooled = _pooled(np.asarray(filters, dtype=np.float64), batch, topo)
     feedback = _score_deriv(pooled, epsilon) @ topo.h  # (T, n)
     return 2.0 / batch.shape[0] * (responses * feedback).T @ batch
 
@@ -222,12 +223,6 @@ def symmetric_orthonormalize(filters: np.ndarray) -> np.ndarray:
 def _initial_filters(n: int, k: int, seed_seq: np.random.SeedSequence) -> np.ndarray:
     rng = np.random.default_rng(seed_seq)
     return symmetric_orthonormalize(rng.standard_normal((n, k)))
-
-
-def _batch_slices(order: np.ndarray, batch_size: int):
-    if batch_size <= 0 or batch_size >= order.size:
-        return [order]
-    return [order[i:i + batch_size] for i in range(0, order.size, batch_size)]
 
 
 def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
@@ -278,13 +273,14 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
                 f"init_filters shape {filters.shape}, expected ({n}, {whitening.k})"
             )
 
-    n_holdout = min(config.holdout_size, max(1, n_samples // 5))
+    n_holdout = min(HOLDOUT_SIZE, max(1, n_samples // 5))
     holdout_idx = np.sort(np.random.default_rng(holdout_ss).choice(
         n_samples, size=n_holdout, replace=False))
     train_idx = np.setdiff1d(np.arange(n_samples), holdout_idx)
     if train_idx.size == 0:
         train_idx = holdout_idx
     holdout = z[holdout_idx]
+    rows = z[train_idx]
     batch_rng = np.random.default_rng(batch_ss)
 
     step = config.step0
@@ -293,16 +289,18 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
         raise Diverged(f"initial objective is {objective}")
     log = [TrainingRecord(0, objective, step, orthonormality_error(filters))]
 
-    order = None
+    batches = None
     for iteration in range(1, config.max_iters + 1):
-        if order is None:
+        if batches is None:
             if config.batch_size > 0:
-                order = batch_rng.permutation(train_idx)
+                order = batch_rng.permutation(len(rows))
+                batches = [rows[order[i:i + config.batch_size]]
+                           for i in range(0, len(rows), config.batch_size)]
             else:
-                order = train_idx
+                batches = [rows]
         candidate = filters
-        for batch_idx in _batch_slices(order, config.batch_size):
-            grad = tica_gradient(candidate, z[batch_idx], topo, config.epsilon)
+        for batch in batches:
+            grad = tica_gradient(candidate, batch, topo, config.epsilon)
             candidate = symmetric_orthonormalize(candidate + step * grad)
         candidate_objective = tica_objective(candidate, holdout, topo, config.epsilon)
         if not np.isfinite(candidate_objective):
@@ -312,7 +310,7 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
             delta = float(np.linalg.norm(candidate - filters))
             filters, objective = candidate, candidate_objective
             step = min(step * STEP_GROWTH, STEP_CAP)
-            order = None
+            batches = None
             log.append(TrainingRecord(iteration, objective, step, orthonormality_error(filters)))
             if delta < config.tol:
                 break

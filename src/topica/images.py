@@ -96,8 +96,8 @@ class FrameSequence:
                 raise DimensionMismatch(
                     f"frame {i} is {frame.width}x{frame.height}, expected {w}x{h}"
                 )
-        if not self.frame_rate > 0:
-            raise DataError(f"frame_rate must be > 0, got {self.frame_rate}")
+        if not (np.isfinite(self.frame_rate) and self.frame_rate > 0):
+            raise DataError(f"frame_rate must be finite and > 0, got {self.frame_rate}")
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -250,13 +250,13 @@ def to_grayscale(rgb: np.ndarray) -> np.ndarray:
 # PGM / PPM input and output
 
 
-def _read_pnm_header(f, n_fields: int):
+def _read_pnm_header(f, n_fields: int, path):
     """Read whitespace-separated header fields, honoring '#' comments."""
     fields = []
     while len(fields) < n_fields:
         line = f.readline()
         if not line:
-            raise FormatError("unexpected end of file in PNM header")
+            raise FormatError(f"{path}: unexpected end of file in PNM header")
         line = line.split(b"#", 1)[0]
         fields.extend(line.split())
     return fields[:n_fields]
@@ -271,7 +271,7 @@ def read_image(path) -> GrayImage:
         magic = f.read(2)
         if magic not in (b"P5", b"P6"):
             raise FormatError(f"{path}: expected binary PGM/PPM, got magic {magic!r}")
-        fields = _read_pnm_header(f, 3)
+        fields = _read_pnm_header(f, 3, path)
         try:
             width, height, maxval = (int(v) for v in fields)
         except ValueError:

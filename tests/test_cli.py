@@ -191,6 +191,19 @@ class TestTrainCommand:
         assert main(["train", "--images", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "m")]) == 2
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--step0", "0", "step0"), ("--epsilon", "0", "epsilon"), ("--tol", "-1", "tol"),
+        ("--max-iters", "0", "max_iters"), ("--batch-size", "-1", "batch_size"),
+        ("--radius", "4", "exceeds lattice side"),
+    ])
+    def test_bad_setting_is_usage_error_before_reading_images(self, tmp_path, capsys,
+                                                               flag, value, named):
+        out = tmp_path / "m"
+        assert main(["train", "--images", str(tmp_path / "nope"), "--out", str(out),
+                     flag, value]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inconsistent_k_is_usage_error(self, tmp_path, image_dir):
         assert main(["train", "--images", str(image_dir), "--out", str(tmp_path / "m"),
                      "--k", "10"]) == 1
@@ -327,6 +340,13 @@ class TestActivateCommand:
                      "--crop", "1,2", "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate", ["-5", "0", "nan", "inf", "fast"])
+    def test_bad_frame_rate_exits_1_without_output(self, tmp_path, model_dir, rate):
+        out = tmp_path / "t"
+        assert main(["activate", "--model", str(model_dir), "--bar", "horizontal",
+                     "--frame-rate", rate, "--out", str(out)]) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("origin", ["abc", "1", "1,2,3"])
     def test_bad_origin_exits_1(self, tmp_path, model_dir, frames_dir, origin):
         proc = _run_cli("activate", "--model", str(model_dir), "--frames", str(frames_dir),
@@ -365,6 +385,27 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--trace", str(trace_dir), "--mode", "locality",
                      "--model", str(model_dir), "--k", "1", "--out", str(out)]) == 0
         assert "0.0000" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--mode", "locality", "--k", "0"], 2),
+        (["--mode", "adjacency", "--permutations", "0"], 1),
+    ])
+    def test_failure_leaves_no_output(self, tmp_path, trace_dir, model_dir, flags, code):
+        out = tmp_path / "a"
+        assert main(["analyze", "--trace", str(trace_dir), "--model", str(model_dir),
+                     "--compare", str(trace_dir), "--out", str(out)] + flags) == code
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["0", "-5", "nan", "inf"])
+    def test_bad_trace_frame_rate_is_format_error(self, tmp_path, trace_dir, capsys, rate):
+        bad = tmp_path / "trace"
+        shutil.copytree(trace_dir, bad)
+        _edit_meta(bad / "trace.meta", "frame_rate", rate)
+        out = tmp_path / "a"
+        assert main(["analyze", "--trace", str(bad), "--mode", "autocorr",
+                     "--out", str(out)]) == 2
+        assert "trace.meta" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_shuffle_topo_changes_adjacency(self, tmp_path, trace_dir, model_dir):
         base = tmp_path / "base"

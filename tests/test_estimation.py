@@ -121,7 +121,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"step0": 0.0}, {"epsilon": -1.0}, {"max_iters": 0},
-        {"tol": -1e-9}, {"batch_size": -1}, {"holdout_size": 0},
+        {"tol": -1e-9}, {"batch_size": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
@@ -173,6 +173,21 @@ class TestTrain:
         model = train(small_patches, small_whitening, small_topo, config)
         assert model.filters.shape == (16, 16)
         assert max(r.ortho_error for r in model.training_log) < 1e-8
+
+    def test_batched_deterministic(self, small_patches, small_whitening, small_topo):
+        config = TrainConfig(seed=2, max_iters=4, batch_size=500)
+        a = train(small_patches, small_whitening, small_topo, config)
+        b = train(small_patches, small_whitening, small_topo, config)
+        npt.assert_array_equal(a.filters, b.filters)
+
+    def test_oversized_batch_is_one_batch(self, small_patches, small_whitening, small_topo):
+        # One permuted batch takes the full-batch step, up to summation order.
+        full = train(small_patches, small_whitening, small_topo,
+                     TrainConfig(seed=2, max_iters=3, tol=0.0))
+        big = train(small_patches, small_whitening, small_topo,
+                    TrainConfig(seed=2, max_iters=3, tol=0.0, batch_size=10**6))
+        assert big.iterations == full.iterations == 3
+        npt.assert_allclose(big.filters, full.filters, rtol=0, atol=1e-10)
 
     def test_unit_count_mismatch(self, small_patches, small_whitening):
         topo = build_topography(3, 3, 1)

@@ -228,6 +228,12 @@ class TestPnmIO:
         with pytest.raises(FormatError, match=r"x\.pgm"):
             read_image(path)
 
+    def test_header_cut_short_names_file(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n4")
+        with pytest.raises(FormatError, match=r"x\.pgm: unexpected end of file"):
+            read_image(path)
+
     def test_to_grayscale_weights(self):
         rgb = np.zeros((1, 2, 3))
         rgb[0, 0] = [1.0, 0.0, 0.0]
@@ -267,6 +273,11 @@ class TestDirectories:
     def test_sequence_empty_dir(self, tmp_path):
         with pytest.raises(DataError):
             load_sequence(tmp_path)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_frame_rate_rejected(self, rate):
+        with pytest.raises(DataError, match="frame_rate"):
+            FrameSequence(frames=[ramp(2, 2)], frame_rate=rate)
 
     def test_mismatched_frame_sizes_rejected(self):
         with pytest.raises(DataError):
