@@ -31,7 +31,6 @@ from .estimation import (
     TrainConfig,
     ica_train,
     load_basis,
-    local_energies,
     save_basis,
     symmetric_orthonormalize,
     tica_gradient,
@@ -82,8 +81,8 @@ __all__ = [
     "extract_random_patches", "fit_whitening", "generate_dead_leaves",
     "generate_moving_bar", "generate_panning_sequence",
     "generate_single_basis_probe", "ica_train", "load_basis", "load_images",
-    "load_sequence", "load_trace", "load_whitening", "local_energies",
-    "normalize_image", "pairwise_distances", "permutation_test", "read_image",
+    "load_sequence", "load_trace", "load_whitening", "normalize_image",
+    "pairwise_distances", "permutation_test", "read_image",
     "reconstruct", "relabel_trace", "save_basis", "save_sequence", "save_trace",
     "save_whitening", "shuffle_frames", "shuffle_topography",
     "symmetric_orthonormalize", "tica_gradient", "tica_objective",

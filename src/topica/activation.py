@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadPermutation, DimensionMismatch, FormatError, ModelMismatch
+from .errors import BadPermutation, DimensionMismatch, ModelMismatch
 from .estimation import BasisModel, check_model_pairing
 from .images import PatchSet
 from .matrixio import (
     format_float,
-    meta_float,
+    meta_positive_float,
     meta_str,
     read_matrix,
     read_meta,
@@ -131,13 +131,10 @@ def save_trace(trace: ActivationTrace, directory) -> None:
 def load_trace(directory) -> ActivationTrace:
     meta_path = os.path.join(directory, META_FILE)
     meta = read_meta(meta_path)
-    frame_rate = meta_float(meta, "frame_rate", meta_path)
-    if not (np.isfinite(frame_rate) and frame_rate > 0):
-        raise FormatError(f"{meta_path}: frame_rate must be finite and > 0, got {frame_rate}")
     return ActivationTrace(
         activations=read_matrix(os.path.join(directory, ACTIVATIONS_FILE)),
         energies=read_matrix(os.path.join(directory, ENERGIES_FILE)),
-        frame_rate=frame_rate,
+        frame_rate=meta_positive_float(meta, "frame_rate", meta_path),
         model_ref=meta_str(meta, "model_ref", meta_path),
         whitening_ref=meta_str(meta, "whitening_ref", meta_path),
     )

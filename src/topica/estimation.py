@@ -62,6 +62,11 @@ LOG_FILE = "training_log.csv"
 # Held-out samples that score each pass (at most a fifth of the data).
 HOLDOUT_SIZE = 1000
 
+# Batch rows per block of the pooled-energy kernel. Its (CHUNK, n) buffers
+# stay in cache, and a fixed size keeps the gradient's summation order, and
+# so every trained bit, the same on any core count.
+CHUNK = 1024
+
 
 @dataclass
 class TrainConfig:
@@ -142,34 +147,55 @@ class BasisModel:
         )
 
 
-def _score(u: np.ndarray, epsilon: float) -> np.ndarray:
-    """G(u) = -sqrt(epsilon + u); smooth sparsity score of pooled energy."""
-    return -np.sqrt(epsilon + u)
+def _pooled_energy(filters: np.ndarray, batch: np.ndarray, topo: Topography,
+                   epsilon: float, gradient: bool):
+    """The kernel behind `tica_objective` and `tica_gradient`.
 
-
-def _score_deriv(u: np.ndarray, epsilon: float) -> np.ndarray:
-    """G'(u) = -1 / (2 sqrt(epsilon + u))."""
-    return -0.5 / np.sqrt(epsilon + u)
-
-
-def _pooled(filters: np.ndarray, batch: np.ndarray, topo: Topography) -> tuple:
-    """Responses (T, n) of a whitened (T, k) batch and their pooled energies u."""
+    Walks the whitened (T, k) batch in blocks of CHUNK rows through
+    (CHUNK, n) buffers allocated once per call. Per block: responses
+    y = z W^T, pooled energies u = (y * y) h, then sqrt(epsilon + u) in
+    place. Returns the mean over samples of sum_i sqrt(epsilon + u_i) or,
+    with `gradient`, of (y(t) * (G'(u(t)) h))^T z_t with
+    G'(u) = -1 / (2 sqrt(epsilon + u)), summed block by block in row
+    order. At radius 0, h is the identity and both products with it are
+    skipped.
+    """
+    filters = np.asarray(filters, dtype=np.float64)
+    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     n, k = filters.shape
     if n != topo.n_units:
         raise DimensionMismatch(f"{n} filters for a {topo.n_units}-unit lattice")
     if batch.shape[-1] != k:
         raise DimensionMismatch(f"samples have {batch.shape[-1]} dims, filters expect {k}")
-    responses = batch @ filters.T
-    return responses, (responses * responses) @ topo.h    # h is symmetric
-
-
-def local_energies(filters: np.ndarray, z: np.ndarray, topo: Topography) -> np.ndarray:
-    """Neighborhood-pooled squared responses u_i for one whitened sample."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise DimensionMismatch(f"expected a single sample vector, got shape {z.shape}")
-    _, pooled = _pooled(np.asarray(filters, dtype=np.float64), z[None], topo)
-    return pooled[0]
+    rows = min(CHUNK, batch.shape[0])
+    responses = np.empty((rows, n))
+    energies = np.empty((rows, n))
+    pooling = topo.radius > 0
+    pooled = np.empty((rows, n)) if pooling else energies
+    if gradient:
+        total = np.zeros((n, k))
+        block_grad = np.empty((n, k))
+    else:
+        total = 0.0
+    for start in range(0, batch.shape[0], CHUNK):
+        z = batch[start:start + CHUNK]
+        y, e, u = responses[:len(z)], energies[:len(z)], pooled[:len(z)]
+        np.matmul(z, filters.T, out=y)
+        np.multiply(y, y, out=e)
+        if pooling:
+            np.matmul(e, topo.h, out=u)
+        u += epsilon
+        np.sqrt(u, out=u)
+        if gradient:
+            np.divide(-0.5, u, out=u)
+            if pooling:
+                np.matmul(u, topo.h, out=e)    # h is symmetric
+            e *= y
+            np.matmul(e.T, z, out=block_grad)
+            total += block_grad
+        else:
+            total += u.sum()
+    return total / batch.shape[0]
 
 
 def tica_objective(filters: np.ndarray, batch: np.ndarray, topo: Topography,
@@ -179,9 +205,7 @@ def tica_objective(filters: np.ndarray, batch: np.ndarray, topo: Topography,
     J = (1/T) sum_t sum_i G(u_i(t)) with G(u) = -sqrt(epsilon + u) and
     u_i(t) the neighborhood-pooled squared responses of sample t.
     """
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    _, pooled = _pooled(np.asarray(filters, dtype=np.float64), batch, topo)
-    return float(_score(pooled, epsilon).sum() / batch.shape[0])
+    return float(-_pooled_energy(filters, batch, topo, epsilon, False))
 
 
 def tica_gradient(filters: np.ndarray, batch: np.ndarray, topo: Topography,
@@ -193,10 +217,7 @@ def tica_gradient(filters: np.ndarray, batch: np.ndarray, topo: Topography,
     feeds every neighborhood containing i, and differentiating the
     square contributes the factor 2.
     """
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    responses, pooled = _pooled(np.asarray(filters, dtype=np.float64), batch, topo)
-    feedback = _score_deriv(pooled, epsilon) @ topo.h  # (T, n)
-    return 2.0 / batch.shape[0] * (responses * feedback).T @ batch
+    return 2.0 * _pooled_energy(filters, batch, topo, epsilon, True)
 
 
 def orthonormality_error(filters: np.ndarray) -> float:

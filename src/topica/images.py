@@ -23,7 +23,7 @@ from .errors import (
     OutOfBounds,
     PatchTooLarge,
 )
-from .matrixio import format_float, meta_float, read_meta
+from .matrixio import format_float, meta_positive_float, read_meta
 
 LUMINANCE_WEIGHTS = (0.299, 0.587, 0.114)
 DEFAULT_FRAME_RATE = 24.0
@@ -333,7 +333,7 @@ def load_sequence(directory) -> FrameSequence:
     if os.path.exists(meta_path):
         meta = read_meta(meta_path)
         if "frame_rate" in meta:
-            frame_rate = meta_float(meta, "frame_rate", meta_path)
+            frame_rate = meta_positive_float(meta, "frame_rate", meta_path)
     return FrameSequence(frames, frame_rate)
 
 

@@ -102,6 +102,14 @@ def meta_float(meta: dict, key: str, path) -> float:
     return _meta_value(meta, key, path, float)
 
 
+def meta_positive_float(meta: dict, key: str, path) -> float:
+    """Required float entry that is finite and > 0, such as a frame rate."""
+    value = meta_float(meta, key, path)
+    if not (np.isfinite(value) and value > 0):
+        raise FormatError(f"{path}: {key} must be finite and > 0, got {value}")
+    return value
+
+
 def meta_ints(meta: dict, key: str, path) -> np.ndarray:
     """Required comma-separated integer list, as an index array."""
     return _meta_value(meta, key, path,

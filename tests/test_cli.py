@@ -347,6 +347,18 @@ class TestActivateCommand:
                      "--frame-rate", rate, "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf"])
+    def test_bad_sequence_frame_rate_exits_2(self, tmp_path, model_dir, frames_dir, rate):
+        frames = tmp_path / "frames"
+        shutil.copytree(frames_dir, frames)
+        _edit_meta(frames / "sequence.meta", "frame_rate", rate)
+        proc = _run_cli("activate", "--model", str(model_dir), "--frames", str(frames),
+                        "--out", str(tmp_path / "t"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("topica: error: ") and "Traceback" not in proc.stderr
+        assert "sequence.meta" in proc.stderr and "frame_rate" in proc.stderr
+        assert not (tmp_path / "t").exists()
+
     @pytest.mark.parametrize("origin", ["abc", "1", "1,2,3"])
     def test_bad_origin_exits_1(self, tmp_path, model_dir, frames_dir, origin):
         proc = _run_cli("activate", "--model", str(model_dir), "--frames", str(frames_dir),

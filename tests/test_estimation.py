@@ -11,12 +11,12 @@ from topica.errors import (
     SingularMatrix,
 )
 from topica.estimation import (
+    CHUNK,
     BasisModel,
     TrainConfig,
     check_model_pairing,
     ica_train,
     load_basis,
-    local_energies,
     orthonormality_error,
     save_basis,
     symmetric_orthonormalize,
@@ -24,7 +24,7 @@ from topica.estimation import (
     tica_objective,
     train,
 )
-from topica.topography import build_topography
+from topica.topography import Topography, build_topography, shuffle_topography
 
 
 def reference_objective(filters, batch, topo, epsilon):
@@ -47,14 +47,46 @@ def test_objective_matches_reference(rng):
     npt.assert_allclose(ours, theirs, rtol=1e-12)
 
 
-def test_local_energies_matches_reference(rng):
-    topo = build_topography(4, 3, 1)
-    filters = rng.standard_normal((12, 12))
-    z = rng.standard_normal(12)
-    responses = filters @ z
-    expected = np.array([sum(topo.h[i, j] * responses[j] ** 2 for j in range(12))
-                         for i in range(12)])
-    npt.assert_allclose(local_energies(filters, z, topo), expected, rtol=1e-12)
+def unchunked_reference(filters, batch, topo, epsilon):
+    """Gradient and objective from whole-batch products, with no row blocks."""
+    responses = batch @ filters.T
+    pooled = (responses * responses) @ topo.h
+    objective = -np.sqrt(epsilon + pooled).sum() / len(batch)
+    feedback = (-0.5 / np.sqrt(epsilon + pooled)) @ topo.h
+    gradient = 2.0 / len(batch) * (responses * feedback).T @ batch
+    return gradient, objective
+
+
+LATTICES = {
+    "radius0": build_topography(6, 6, 0),
+    "radius1": build_topography(6, 6, 1),
+    "radius2": build_topography(6, 6, 2),
+    "shuffled": shuffle_topography(build_topography(6, 6, 1), seed=4),
+}
+
+
+@pytest.mark.parametrize("lattice", sorted(LATTICES))
+@pytest.mark.parametrize("rows", [1, 700, CHUNK, CHUNK + 1, 5 * CHUNK // 2])
+def test_kernel_matches_unchunked_reference(rng, rows, lattice):
+    topo = LATTICES[lattice]
+    filters = symmetric_orthonormalize(rng.standard_normal((36, 36)))
+    batch = rng.standard_normal((rows, 36))
+    gradient, objective = unchunked_reference(filters, batch, topo, 0.005)
+    ours = tica_gradient(filters, batch, topo, 0.005)
+    assert np.linalg.norm(ours - gradient) <= 1e-12 * np.linalg.norm(gradient)
+    assert abs(tica_objective(filters, batch, topo, 0.005) - objective) <= 1e-12 * abs(objective)
+
+
+def test_radius_zero_skip_matches_identity_pooling(rng):
+    # An identity h at radius 1 takes the pooling products; radius 0 skips them.
+    flat = build_topography(6, 6, 0)
+    identity = Topography(width=6, height=6, radius=1, h=np.eye(36))
+    filters = symmetric_orthonormalize(rng.standard_normal((36, 36)))
+    batch = rng.standard_normal((CHUNK + 300, 36))
+    npt.assert_array_equal(tica_gradient(filters, batch, flat, 0.005),
+                           tica_gradient(filters, batch, identity, 0.005))
+    assert (tica_objective(filters, batch, flat, 0.005)
+            == tica_objective(filters, batch, identity, 0.005))
 
 
 def test_gradient_matches_finite_differences(rng):
