@@ -64,7 +64,6 @@ from .topography import (
     build_topography,
     pairwise_distances,
     shuffle_topography,
-    torus_distance,
 )
 from .whitening import WhiteningModel, dewhiten, fit_whitening, load_whitening, save_whitening, whiten
 
@@ -86,5 +85,5 @@ __all__ = [
     "reconstruct", "relabel_trace", "save_basis", "save_sequence", "save_trace",
     "save_whitening", "shuffle_frames", "shuffle_topography",
     "symmetric_orthonormalize", "tica_gradient", "tica_objective",
-    "torus_distance", "train", "whiten", "write_image",
+    "train", "whiten", "write_image",
 ]

@@ -2,14 +2,20 @@
 
 Every command is deterministic given its config and seed; rerunning a
 command writes bit-identical files. Inputs are never mutated and all
-outputs land under the directory (or file path) named by --out.
+outputs land under the directory (or file path) named by --out. The
+directory commands (train, activate, analyze) build their output in a
+temporary sibling directory and move it into place only on success,
+replacing an existing --out as a whole.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -23,6 +29,8 @@ from .topography import Topography, build_topography, shuffle_topography
 HEATMAP_SCALE = 16
 HEATMAP_DIR = "heatmaps"
 RECON_DIR = "recon"
+# Path arguments a command reads; its --out may not be or contain any of them.
+INPUT_ARGS = ("images", "config", "model", "frames", "trace", "compare", "compare_model")
 
 
 def _parse_ints(text: str, name: str, layout: str) -> tuple:
@@ -107,7 +115,7 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
     return config
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, out) -> int:
     overrides = {name: getattr(args, name) for name in _FIELD_PARSERS}
     config = load_run_config(args.config, overrides)
     loaded = images.load_images(args.images)
@@ -122,9 +130,8 @@ def cmd_train(args) -> int:
     model_w = whit.fit_whitening(patches, config.k)
     topo = build_topography(config.map_width, config.map_height, config.radius)
     model_b = estimation.train(patches, model_w, topo, config)
-    os.makedirs(args.out, exist_ok=True)
-    whit.save_whitening(model_w, args.out)
-    estimation.save_basis(model_b, args.out)
+    whit.save_whitening(model_w, out)
+    estimation.save_basis(model_b, out)
     last = model_b.training_log[-1]
     print(f"trained {model_b.kind} model: {model_b.n_units} units, "
           f"{model_b.iterations} iterations, "
@@ -188,7 +195,7 @@ def render_reconstructions(model: estimation.BasisModel, trace: act.ActivationTr
     _render_frames(arrays, lo, hi, directory)
 
 
-def cmd_activate(args) -> int:
+def cmd_activate(args, out) -> int:
     model, model_w = _load_model_dir(args.model)
     frame_rate = args.frame_rate
     if args.frames is not None:
@@ -217,15 +224,14 @@ def cmd_activate(args) -> int:
         if frame_rate is None:
             frame_rate = 24.0
     trace = act.compute_activation(model, model_w, patches, frame_rate)
-    os.makedirs(args.out, exist_ok=True)
-    act.save_trace(trace, args.out)
-    render_energy_heatmaps(trace, model.topo, os.path.join(args.out, HEATMAP_DIR))
-    render_reconstructions(model, trace, os.path.join(args.out, RECON_DIR))
+    act.save_trace(trace, out)
+    render_energy_heatmaps(trace, model.topo, os.path.join(out, HEATMAP_DIR))
+    render_reconstructions(model, trace, os.path.join(out, RECON_DIR))
     print(f"activated {trace.n_frames} frames x {trace.n_units} units")
     return 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, out) -> int:
     trace = act.load_trace(args.trace)
     table = None
     if args.mode == "autocorr":
@@ -251,11 +257,10 @@ def cmd_analyze(args) -> int:
         topo = _analysis_topo(args)
         value = analysis.cluster_locality(trace, topo, args.k)
         summary = analysis.format_summary(locality=value, locality_k=args.k)
-    os.makedirs(args.out, exist_ok=True)
     if table is not None:
         name, write = table
-        write(report, os.path.join(args.out, name))
-    with open(os.path.join(args.out, "summary.txt"), "w", encoding="ascii") as f:
+        write(report, os.path.join(out, name))
+    with open(os.path.join(out, "summary.txt"), "w", encoding="ascii") as f:
         f.write(summary)
     sys.stdout.write(summary)
     return 0
@@ -373,11 +378,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _replacing_output(args):
+    """Yield an empty temporary sibling of --out, which replaces --out on success.
+
+    If the command fails, the temporary directory is removed and --out is
+    left as it was. An --out that is, or contains, an input or the working
+    directory is refused before anything is computed.
+    """
+    out = os.path.realpath(args.out)
+    for path in [os.getcwd()] + [getattr(args, name, None) for name in INPUT_ARGS]:
+        if path is not None and os.path.commonpath([out, os.path.realpath(path)]) == out:
+            raise ConfigError(f"--out {args.out} contains {path}, which replacing it would delete")
+    parent = os.path.dirname(os.path.abspath(args.out))
+    os.makedirs(parent, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=".topica-", dir=parent)
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o777 & ~umask)
+        yield tmp
+        if os.path.isdir(args.out):
+            shutil.rmtree(args.out)
+        os.replace(tmp, args.out)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        if args.command == "render":
+            return args.func(args)
+        with _replacing_output(args) as out:
+            return args.func(args, out)
     except TopicaError as exc:
         print(f"topica: error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDimensions, BadPermutation, IndexOutOfRange
+from .errors import BadDimensions, BadPermutation
 
 
 @dataclass(eq=False)
@@ -79,14 +79,6 @@ def _neighborhood_matrix(topo: Topography) -> np.ndarray:
 def build_topography(width: int, height: int, radius: int) -> Topography:
     """Build the torus lattice with the identity unit-to-cell assignment."""
     return Topography(width=width, height=height, radius=radius)
-
-
-def torus_distance(topo: Topography, i: int, j: int) -> int:
-    """Chebyshev distance between the cells of units i and j, with wraparound."""
-    n = topo.n_units
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexOutOfRange(f"unit indices ({i}, {j}) outside 0..{n - 1}")
-    return int(pairwise_distances(topo)[i, j])
 
 
 def shuffle_topography(topo: Topography, seed: int) -> Topography:

@@ -31,8 +31,6 @@ from .matrixio import (
     write_meta,
 )
 
-MIN_EIGENVALUE = 1e-12
-
 TRANSFORM_FILE = "whitening_matrix.ticm"
 INVERSE_FILE = "dewhitening_matrix.ticm"
 META_FILE = "whitening.meta"
@@ -77,7 +75,9 @@ def fit_whitening(patches: PatchSet, k: int) -> WhiteningModel:
     k : int
         Number of principal components to retain. Must not exceed
         min(n_samples, n_pixels), and the k-th eigenvalue of the sample
-        covariance must exceed 1e-12.
+        covariance must exceed max(n_samples, n_pixels) * eps * lambda_max,
+        the Gram matrix's roundoff floor (the analogue of the default
+        tolerance of ``numpy.linalg.matrix_rank``).
 
     Returns
     -------
@@ -103,9 +103,11 @@ def fit_whitening(patches: PatchSet, k: int) -> WhiteningModel:
     # eigh sorts ascending; keep the top k in descending order.
     eigenvalues = eigenvalues[::-1][:k]
     vectors = vectors[:, ::-1][:, :k]
-    if eigenvalues[-1] <= MIN_EIGENVALUE:
+    floor = max(n_samples, n_pixels) * np.finfo(np.float64).eps * eigenvalues[0]
+    if eigenvalues[-1] <= floor:
         raise RankDeficient(
-            f"eigenvalue {k} of the sample covariance is {eigenvalues[-1]:.3e} <= {MIN_EIGENVALUE}"
+            f"eigenvalue {k} of the sample covariance is {eigenvalues[-1]:.3e}, "
+            f"within roundoff of zero (<= {floor:.3e})"
         )
     if snapshots:
         vectors = data.T @ vectors / np.sqrt(eigenvalues * n_samples)

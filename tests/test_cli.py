@@ -367,6 +367,36 @@ class TestActivateCommand:
         assert proc.stderr.startswith("topica: error: ") and "Traceback" not in proc.stderr
         assert not (tmp_path / "t").exists()
 
+    def test_rerun_replaces_existing_out(self, tmp_path, model_dir):
+        out = tmp_path / "bar"
+        for frames in ("16", "8"):
+            assert main(["activate", "--model", str(model_dir), "--bar", "horizontal",
+                         "--bar-frames", frames, "--out", str(out)]) == 0
+        assert len(os.listdir(out / "heatmaps")) == 8
+        assert len(os.listdir(out / "recon")) == 8
+        assert topica.load_trace(out).n_frames == 8
+        assert os.listdir(tmp_path) == ["bar"]
+
+    def test_failure_keeps_existing_out(self, tmp_path, model_dir):
+        out = tmp_path / "bar"
+        assert main(["activate", "--model", str(model_dir), "--bar", "horizontal",
+                     "--bar-frames", "16", "--out", str(out)]) == 0
+        before = sorted(os.listdir(out / "heatmaps"))
+        empty = tmp_path / "frames"
+        empty.mkdir()
+        assert main(["activate", "--model", str(model_dir), "--frames", str(empty),
+                     "--out", str(out)]) == 2
+        assert sorted(os.listdir(out / "heatmaps")) == before
+        assert sorted(os.listdir(tmp_path)) == ["bar", "frames"]
+
+    def test_out_containing_an_input_is_refused(self, tmp_path, model_dir):
+        model = tmp_path / "model"
+        shutil.copytree(model_dir, model)
+        for out in (tmp_path, model):
+            assert main(["activate", "--model", str(model), "--bar", "horizontal",
+                         "--out", str(out)]) == 1
+        assert sorted(os.listdir(model)) == sorted(os.listdir(model_dir))
+
 
 class TestAnalyzeCommand:
     def test_autocorr_outputs(self, tmp_path, trace_dir):
@@ -418,6 +448,15 @@ class TestAnalyzeCommand:
                      "--out", str(out)]) == 2
         assert "trace.meta" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rerun_replaces_existing_out(self, tmp_path, trace_dir, model_dir):
+        out = tmp_path / "a"
+        assert main(["analyze", "--trace", str(trace_dir), "--mode", "autocorr",
+                     "--max-lag", "5", "--out", str(out)]) == 0
+        assert main(["analyze", "--trace", str(trace_dir), "--mode", "locality",
+                     "--model", str(model_dir), "--k", "1", "--out", str(out)]) == 0
+        assert os.listdir(out) == ["summary.txt"]
+        assert "spread" in (out / "summary.txt").read_text()
 
     def test_shuffle_topo_changes_adjacency(self, tmp_path, trace_dir, model_dir):
         base = tmp_path / "base"

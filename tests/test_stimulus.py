@@ -99,6 +99,40 @@ class TestDeadLeaves:
             generate_dead_leaves(seed=0, **kwargs)
 
 
+def _full_canvas_dead_leaves(width, height, n_disks, seed, min_radius=2.0, max_radius=0.0):
+    """Reference painter: tests every disk against every canvas pixel."""
+    if max_radius <= 0:
+        max_radius = max(min_radius, min(width, height) / 4.0)
+    rng = np.random.default_rng(seed)
+    canvas = np.full((height, width), 0.5, dtype=np.float64)
+    ys, xs = np.mgrid[0:height, 0:width]
+    log_lo, log_hi = np.log(min_radius), np.log(max_radius)
+    for _ in range(n_disks):
+        cx = rng.uniform(0, width)
+        cy = rng.uniform(0, height)
+        r = np.exp(rng.uniform(log_lo, log_hi))
+        shade = rng.uniform(0.0, 1.0)
+        canvas[(xs - cx) ** 2 + (ys - cy) ** 2 <= r * r] = shade
+    return canvas
+
+
+class TestDeadLeavesOracle:
+    """The bounding-box painter matches the full-canvas one bit for bit."""
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((1, 1, 5, 0), {}),
+        ((7, 300, 60, 1), {}),
+        ((100, 37, 80, 2), {}),
+        ((64, 64, 300, 3), {"min_radius": 0.5, "max_radius": 200}),
+        ((37, 100, 300, 4), {"min_radius": 0.5, "max_radius": 200}),
+        ((256, 256, 220, 5), {"min_radius": 3, "max_radius": 40}),
+        ((512, 512, 900, 6), {"min_radius": 3, "max_radius": 40}),
+    ] + [((64, 64, 60, seed), {}) for seed in range(20)])
+    def test_matches_full_canvas(self, args, kwargs):
+        image = generate_dead_leaves(*args, **kwargs)
+        assert image.values.tobytes() == _full_canvas_dead_leaves(*args, **kwargs).tobytes()
+
+
 @pytest.fixture(scope="module")
 def scene():
     return generate_dead_leaves(96, 96, 120, seed=8, min_radius=2, max_radius=10)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topica.errors import BadDimensions, BadPermutation, IndexOutOfRange
+from topica.errors import BadDimensions, BadPermutation
 from topica.topography import (
     Topography,
     adjacent_pairs,
@@ -12,7 +12,6 @@ from topica.topography import (
     build_topography,
     pairwise_distances,
     shuffle_topography,
-    torus_distance,
 )
 
 
@@ -57,22 +56,14 @@ def test_bad_dimensions_rejected():
         build_topography(4, -1, 0)
 
 
-def test_torus_distance_oracle():
-    topo = build_topography(4, 3, 1)
+def test_pairwise_distances_oracle():
+    dist = pairwise_distances(build_topography(4, 3, 1))
     # unit = y * width + x on the identity layout
-    assert torus_distance(topo, 0, 1) == 1
-    assert torus_distance(topo, 0, 3) == 1      # x wraps: |0-3| -> 1
-    assert torus_distance(topo, 0, 6) == 2      # dx=2, dy=1
-    assert torus_distance(topo, 0, 0) == 0
-    assert torus_distance(topo, 1, 9) == 1      # dy wraps: |0-2| -> 1
-
-
-def test_torus_distance_bounds_checked():
-    topo = build_topography(4, 3, 1)
-    with pytest.raises(IndexOutOfRange):
-        torus_distance(topo, 0, 12)
-    with pytest.raises(IndexOutOfRange):
-        torus_distance(topo, -1, 0)
+    assert dist[0, 1] == 1
+    assert dist[0, 3] == 1      # x wraps: |0-3| -> 1
+    assert dist[0, 6] == 2      # dx=2, dy=1
+    assert dist[0, 0] == 0
+    assert dist[1, 9] == 1      # dy wraps: |0-2| -> 1
 
 
 def test_pairwise_distances_matrix():

@@ -161,3 +161,18 @@ def test_wide_duplicated_rows_rank_deficient(rng):
     assert fit_whitening(ps, 20).eigenvalues[-1] > 1e-3
     with pytest.raises(RankDeficient):
         fit_whitening(ps, 21)
+
+
+def test_rank_floor_is_relative_to_the_spectrum():
+    # One pixel copies another, so the covariance has one zero eigenvalue.
+    # At this scale its roundoff (about 1e-8 here, positive for this seed)
+    # lies far above a fixed floor like 1e-12.
+    data = 1e4 * np.random.default_rng(0).standard_normal((400, 16))
+    data[:, 15] = data[:, 14]
+    ps = PatchSet(data, 4)
+    gram = data.T @ data
+    gram /= 400
+    assert np.linalg.eigh(gram)[0][0] > 1e-12
+    assert fit_whitening(ps, 15).eigenvalues[-1] > 1e6
+    with pytest.raises(RankDeficient):
+        fit_whitening(ps, 16)
