@@ -5,7 +5,8 @@ command writes bit-identical files. Inputs are never mutated and all
 outputs land under the directory (or file path) named by --out. The
 directory commands (train, activate, analyze) build their output in a
 temporary sibling directory and move it into place only on success,
-replacing an existing --out as a whole.
+replacing an existing --out as a whole; render does the same with its
+montage file.
 """
 
 from __future__ import annotations
@@ -280,7 +281,14 @@ def cmd_render(args) -> int:
     montage = render_montage(model)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
-    images.write_image(args.out, montage, lo=0.0, hi=1.0)
+    tmp = os.path.join(out_dir, f".topica-{os.getpid()}.pgm")
+    try:
+        images.write_image(tmp, montage, lo=0.0, hi=1.0)
+        os.replace(tmp, args.out)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     print(f"wrote {montage.width}x{montage.height} montage to {args.out}")
     return 0
 

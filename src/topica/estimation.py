@@ -9,11 +9,12 @@ lattice the pooling disappears and the estimator reduces to plain ICA
 with the same smooth sparsity score, which is how the ICA baseline is
 produced here.
 
-Training ascends the exact objective gradient with symmetric
+Training ascends the exact full-batch objective gradient with symmetric
 re-orthonormalization after every step and an adaptive step size
 controlled by a fixed held-out batch: an improving pass grows the step
 by 1.2x (capped at 1.0), a non-improving pass is retried from the
-pre-pass filters at half the step, and a step below 1e-6 stops training.
+pre-pass filters at half the step, reusing that pass's gradient, and a
+step below 1e-6 stops training.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ class TrainConfig:
     max_iters: int = 500
     tol: float = 1e-4
     seed: int = 0
-    batch_size: int = 0          # 0 = full batch
 
     def __post_init__(self):
         self.validate()
@@ -91,8 +91,6 @@ class TrainConfig:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tol < 0:
             raise ConfigError(f"tol must be >= 0, got {self.tol}")
-        if self.batch_size < 0:
-            raise ConfigError(f"batch_size must be >= 0, got {self.batch_size}")
 
 
 @dataclass
@@ -241,14 +239,11 @@ def symmetric_orthonormalize(filters: np.ndarray) -> np.ndarray:
     return inv_root @ filters
 
 
-def _initial_filters(n: int, k: int, seed_seq: np.random.SeedSequence) -> np.ndarray:
-    rng = np.random.default_rng(seed_seq)
-    return symmetric_orthonormalize(rng.standard_normal((n, k)))
-
-
 def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
-          config: TrainConfig | None = None, init_filters: np.ndarray | None = None) -> BasisModel:
-    """Estimate the filter bank on whitened patches by gradient ascent.
+          config: TrainConfig | None = None) -> BasisModel:
+    """Estimate the filter bank on whitened patches by full-batch gradient ascent.
+
+    A rejected pass leaves the filters as they were, so its retry reuses their gradient.
 
     Parameters
     ----------
@@ -260,11 +255,8 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
     topo : Topography
         Unit lattice; radius 0 yields a plain ICA model.
     config : TrainConfig
-        Step schedule, batch policy, and seeding. Defaults follow the
-        standard configuration (start step 0.1, epsilon 0.005).
-    init_filters : ndarray, optional
-        Starting filters (orthonormalized before use). Defaults to a
-        seeded random orthonormal matrix.
+        Step schedule and seed (of the random orthonormal start and the
+        held-out rows). Defaults: start step 0.1, epsilon 0.005.
 
     Returns
     -------
@@ -283,16 +275,8 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
             f"whitening keeps k={whitening.k} components but the lattice has {n} units"
         )
 
-    seed_seq = np.random.SeedSequence(config.seed)
-    init_ss, holdout_ss, batch_ss = seed_seq.spawn(3)
-    if init_filters is None:
-        filters = _initial_filters(n, whitening.k, init_ss)
-    else:
-        filters = symmetric_orthonormalize(np.asarray(init_filters, dtype=np.float64))
-        if filters.shape != (n, whitening.k):
-            raise DimensionMismatch(
-                f"init_filters shape {filters.shape}, expected ({n}, {whitening.k})"
-            )
+    init_ss, holdout_ss = np.random.SeedSequence(config.seed).spawn(2)
+    filters = symmetric_orthonormalize(np.random.default_rng(init_ss).standard_normal((n, n)))
 
     n_holdout = min(HOLDOUT_SIZE, max(1, n_samples // 5))
     holdout_idx = np.sort(np.random.default_rng(holdout_ss).choice(
@@ -302,7 +286,6 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
         train_idx = holdout_idx
     holdout = z[holdout_idx]
     rows = z[train_idx]
-    batch_rng = np.random.default_rng(batch_ss)
 
     step = config.step0
     objective = tica_objective(filters, holdout, topo, config.epsilon)
@@ -310,19 +293,11 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
         raise Diverged(f"initial objective is {objective}")
     log = [TrainingRecord(0, objective, step, orthonormality_error(filters))]
 
-    batches = None
+    grad = None
     for iteration in range(1, config.max_iters + 1):
-        if batches is None:
-            if config.batch_size > 0:
-                order = batch_rng.permutation(len(rows))
-                batches = [rows[order[i:i + config.batch_size]]
-                           for i in range(0, len(rows), config.batch_size)]
-            else:
-                batches = [rows]
-        candidate = filters
-        for batch in batches:
-            grad = tica_gradient(candidate, batch, topo, config.epsilon)
-            candidate = symmetric_orthonormalize(candidate + step * grad)
+        if grad is None:
+            grad = tica_gradient(filters, rows, topo, config.epsilon)
+        candidate = symmetric_orthonormalize(filters + step * grad)
         candidate_objective = tica_objective(candidate, holdout, topo, config.epsilon)
         if not np.isfinite(candidate_objective):
             raise Diverged(f"objective became {candidate_objective} at iteration {iteration}")
@@ -331,12 +306,12 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
             delta = float(np.linalg.norm(candidate - filters))
             filters, objective = candidate, candidate_objective
             step = min(step * STEP_GROWTH, STEP_CAP)
-            batches = None
+            grad = None
             log.append(TrainingRecord(iteration, objective, step, orthonormality_error(filters)))
             if delta < config.tol:
                 break
         else:
-            # Retry the same pass from the pre-pass filters at half the step.
+            # Retry from the pre-pass filters, and so with their gradient, at half the step.
             step *= STEP_SHRINK
             log.append(TrainingRecord(iteration, objective, step, orthonormality_error(filters)))
             if step < STEP_FLOOR:
@@ -356,11 +331,10 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
 
 
 def ica_train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
-              config: TrainConfig | None = None,
-              init_filters: np.ndarray | None = None) -> BasisModel:
+              config: TrainConfig | None = None) -> BasisModel:
     """Train with the pooling radius forced to 0 (plain ICA baseline)."""
     flat = Topography(width=topo.width, height=topo.height, radius=0)
-    return train(patches, whitening, flat, config, init_filters)
+    return train(patches, whitening, flat, config)
 
 
 def save_basis(model: BasisModel, directory) -> None:
@@ -409,6 +383,9 @@ def load_basis(directory) -> BasisModel:
     )
     if filters.shape[0] != topo.n_units:
         raise FormatError(f"{directory}: {filters.shape[0]} filters for {topo.n_units} units")
+    if basis.shape[1] != filters.shape[0]:
+        raise FormatError(f"{os.path.join(directory, BASIS_FILE)}: {basis.shape[1]} basis "
+                          f"columns for {filters.shape[0]} filters")
     log = []
     log_path = os.path.join(directory, LOG_FILE)
     if os.path.exists(log_path):
@@ -433,5 +410,11 @@ def load_basis(directory) -> BasisModel:
 
 def check_model_pairing(model: BasisModel, whitening: WhiteningModel) -> None:
     """Raise unless the basis model was trained with this whitening model."""
+    if model.filters.shape[1] != whitening.k:
+        raise ModelMismatch(f"{FILTERS_FILE} has {model.filters.shape[1]} columns, "
+                            f"but the whitening keeps k={whitening.k}")
+    if model.basis.shape[0] != whitening.n_pixels:
+        raise ModelMismatch(f"{BASIS_FILE} has {model.basis.shape[0]} rows, "
+                            f"but the whitening has {whitening.n_pixels} pixels")
     if model.whitening_ref != whitening.identity_hash():
         raise ModelMismatch("basis model was trained with a different whitening model")

@@ -23,7 +23,7 @@ from .errors import (
     OutOfBounds,
     PatchTooLarge,
 )
-from .matrixio import format_float, meta_positive_float, read_meta
+from .matrixio import format_float, meta_positive_float, read_meta, read_payload
 
 LUMINANCE_WEIGHTS = (0.299, 0.587, 0.114)
 DEFAULT_FRAME_RATE = 24.0
@@ -281,9 +281,7 @@ def read_image(path) -> GrayImage:
         if not 0 < maxval <= 255:
             raise FormatError(f"{path}: only 8-bit images supported, maxval={maxval}")
         channels = 3 if magic == b"P6" else 1
-        payload = f.read(width * height * channels)
-    if len(payload) != width * height * channels:
-        raise FormatError(f"{path}: truncated pixel data")
+        payload = read_payload(f, width * height * channels, path)
     raw = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / maxval
     if channels == 3:
         return GrayImage(to_grayscale(raw.reshape(height, width, 3)))

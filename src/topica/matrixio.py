@@ -11,6 +11,7 @@ syntax the CLI config files use.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -42,11 +43,18 @@ def read_matrix(path) -> np.ndarray:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        payload = f.read(8 * rows * cols)
-    if len(payload) != 8 * rows * cols:
-        raise FormatError(f"{path}: truncated payload")
+        payload = read_payload(f, 8 * rows * cols, path)
     data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     return data.reshape(rows, cols)
+
+
+def read_payload(f, size: int, path) -> bytes:
+    """The next `size` bytes of the open file `f`, after checking the file
+    holds them, so that a header declaring too much fails without a huge read."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if size > left:
+        raise FormatError(f"{path}: header declares {size} bytes of data, but {left} follow")
+    return f.read(size)
 
 
 def format_float(x) -> str:

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ import topica
 from topica.cli import RunConfig, build_parser, load_run_config, main, parse_crop
 from topica.errors import ConfigError
 from topica.images import GrayImage, read_image, write_image
-from topica.matrixio import read_meta
+from topica.matrixio import read_matrix, read_meta, write_matrix
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +105,7 @@ class TestRunConfig:
 
 
 TRAIN_DESTS = ["patch_side", "n_patches", "k", "map_width", "map_height", "radius",
-               "epsilon", "step0", "max_iters", "tol", "seed", "batch_size", "crop"]
+               "epsilon", "step0", "max_iters", "tol", "seed", "crop"]
 
 
 def _train_subparser():
@@ -126,7 +127,7 @@ class TestGeneratedTrainFlags:
     def test_every_field_is_a_config_key(self, tmp_path):
         values = {"patch_side": 6, "n_patches": 500, "k": 9, "map_width": 3, "map_height": 3,
                   "radius": 0, "epsilon": 0.01, "step0": 0.2, "max_iters": 7, "tol": 0.001,
-                  "seed": 4, "batch_size": 100, "crop": (1, 2, 30, 40)}
+                  "seed": 4, "crop": (1, 2, 30, 40)}
         assert sorted(values) == sorted(TRAIN_DESTS)
         path = tmp_path / "run.conf"
         path.write_text("".join(
@@ -149,6 +150,19 @@ class TestGeneratedTrainFlags:
         assert main(["train", "--images", str(image_dir), "--out", str(out),
                      "--config", str(conf)]) == 1
         assert "unknown config key 'frame_rate'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_batch_size_is_unknown(self, tmp_path, image_dir, capsys):
+        # Training is full batch only; neither the flag nor the key exists.
+        out = tmp_path / "m"
+        assert main(["train", "--images", str(image_dir), "--out", str(out),
+                     "--batch-size", "10"]) == 1
+        assert "--batch-size" in capsys.readouterr().err
+        conf = tmp_path / "run.conf"
+        conf.write_text("batch_size = 10\n")
+        assert main(["train", "--images", str(image_dir), "--out", str(out),
+                     "--config", str(conf)]) == 1
+        assert "unknown config key 'batch_size'" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -193,7 +207,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--step0", "0", "step0"), ("--epsilon", "0", "epsilon"), ("--tol", "-1", "tol"),
-        ("--max-iters", "0", "max_iters"), ("--batch-size", "-1", "batch_size"),
+        ("--max-iters", "0", "max_iters"),
         ("--radius", "4", "exceeds lattice side"),
     ])
     def test_bad_setting_is_usage_error_before_reading_images(self, tmp_path, capsys,
@@ -280,6 +294,69 @@ class TestMalformedTrainingLog:
             f.write(row + "\n")
         assert main(["render", "--model", str(model), "--out", str(tmp_path / "m.pgm")]) == 2
         assert "training_log.csv" in capsys.readouterr().err
+
+
+def _assert_data_error_naming(capsys, name):
+    err = capsys.readouterr().err
+    assert err.startswith("topica: error: ") and name in err
+
+
+class TestOversizedHeaders:
+    """A header that declares more data than its file holds is a format error."""
+
+    def test_huge_matrix_header_in_render(self, tmp_path, model_dir, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(model_dir, model)
+        (model / "filter_matrix.ticm").write_bytes(
+            b"TICM\x01" + struct.pack("<II", 2**32 - 1, 2**32 - 1) + bytes(64))
+        assert main(["render", "--model", str(model), "--out", str(tmp_path / "m.pgm")]) == 2
+        _assert_data_error_naming(capsys, "filter_matrix.ticm")
+
+    def test_wide_matrix_header_in_analyze(self, tmp_path, trace_dir, capsys):
+        trace = tmp_path / "trace"
+        shutil.copytree(trace_dir, trace)
+        (trace / "activations.ticm").write_bytes(
+            b"TICM\x01" + struct.pack("<II", 300, 2**31) + bytes(64))
+        out = tmp_path / "a"
+        assert main(["analyze", "--mode", "autocorr", "--trace", str(trace),
+                     "--out", str(out)]) == 2
+        _assert_data_error_naming(capsys, "activations.ticm")
+        assert not out.exists()
+
+    def test_huge_pgm_header_in_train(self, tmp_path, capsys):
+        imgs = tmp_path / "imgs"
+        imgs.mkdir()
+        (imgs / "big.pgm").write_bytes(b"P5\n100000000 100000000\n255\n" + bytes(64))
+        out = tmp_path / "m"
+        assert main(["train", "--images", str(imgs), "--out", str(out)]) == 2
+        _assert_data_error_naming(capsys, "big.pgm")
+        assert not out.exists()
+
+
+def _cut_columns(path, cols):
+    write_matrix(path, read_matrix(path)[:, :cols])
+
+
+class TestModelShapes:
+    @pytest.mark.parametrize("command", [["render"], ["activate", "--bar", "vertical"]])
+    def test_basis_cut_to_ten_columns(self, tmp_path, model_dir, capsys, command):
+        model = tmp_path / "model"
+        shutil.copytree(model_dir, model)
+        _cut_columns(model / "basis_matrix.ticm", 10)
+        out = tmp_path / "out"
+        assert main(command + ["--model", str(model), "--out", str(out)]) == 2
+        _assert_data_error_naming(capsys, "basis_matrix.ticm")
+        assert not out.exists()
+
+    def test_filters_cut_to_ten_columns(self, tmp_path, model_dir, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(model_dir, model)
+        _cut_columns(model / "filter_matrix.ticm", 10)
+        out = tmp_path / "out"
+        assert main(["activate", "--model", str(model), "--bar", "vertical",
+                     "--out", str(out)]) == 2
+        _assert_data_error_naming(capsys, "filter_matrix.ticm")
+        assert not out.exists()
 
 
 class TestActivateCommand:
@@ -475,6 +552,21 @@ class TestRenderCommand:
         montage = read_image(out)
         # 4 tiles of side 5 plus 5 separator lines in each direction.
         assert (montage.width, montage.height) == (25, 25)
+
+    def test_failed_write_keeps_earlier_montage(self, tmp_path, model_dir, monkeypatch):
+        out = tmp_path / "renders" / "montage.pgm"
+        assert main(["render", "--model", str(model_dir), "--out", str(out)]) == 0
+        before = out.read_bytes()
+
+        def failing_write(path, img, lo=None, hi=None):
+            with open(path, "wb") as f:
+                f.write(b"P5\n25 25\n255\n" + bytes(10))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(topica.images, "write_image", failing_write)
+        assert main(["render", "--model", str(model_dir), "--out", str(out)]) == 2
+        assert out.read_bytes() == before
+        assert os.listdir(out.parent) == ["montage.pgm"]
 
     def test_montage_unreadable_model(self, tmp_path):
         assert main(["render", "--model", str(tmp_path / "nope"),

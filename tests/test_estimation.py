@@ -25,6 +25,7 @@ from topica.estimation import (
     train,
 )
 from topica.topography import Topography, build_topography, shuffle_topography
+from topica.whitening import whiten
 
 
 def reference_objective(filters, batch, topo, epsilon):
@@ -153,11 +154,42 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"step0": 0.0}, {"epsilon": -1.0}, {"max_iters": 0},
-        {"tol": -1e-9}, {"batch_size": -1},
+        {"tol": -1e-9},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
+
+
+# Starts at a step that the first pass rejects, and rejects 7 of its 30 passes.
+REJECTING = TrainConfig(seed=2, step0=1.0, max_iters=30, tol=0.0)
+
+
+def regradient_reference(patches, whitening, topo, config):
+    """The training loop with a fresh gradient on every pass, retries included."""
+    z = whiten(whitening, patches)
+    init_ss, holdout_ss = np.random.SeedSequence(config.seed).spawn(2)
+    filters = symmetric_orthonormalize(
+        np.random.default_rng(init_ss).standard_normal((topo.n_units, whitening.k)))
+    n_holdout = min(1000, max(1, len(z) // 5))
+    holdout_idx = np.sort(np.random.default_rng(holdout_ss).choice(
+        len(z), size=n_holdout, replace=False))
+    holdout = z[holdout_idx]
+    rows = z[np.setdiff1d(np.arange(len(z)), holdout_idx)]
+    step = config.step0
+    objective = tica_objective(filters, holdout, topo, config.epsilon)
+    log = [(objective, step)]
+    for _ in range(config.max_iters):
+        grad = tica_gradient(filters, rows, topo, config.epsilon)
+        candidate = symmetric_orthonormalize(filters + step * grad)
+        candidate_objective = tica_objective(candidate, holdout, topo, config.epsilon)
+        if candidate_objective > objective:
+            filters, objective = candidate, candidate_objective
+            step = min(step * 1.2, 1.0)
+        else:
+            step *= 0.5
+        log.append((objective, step))
+    return filters, log
 
 
 class TestTrain:
@@ -192,34 +224,31 @@ class TestTrain:
         b = train(small_patches, small_whitening, small_topo, TrainConfig(seed=3, max_iters=5))
         assert not np.array_equal(a.filters, b.filters)
 
-    def test_explicit_initial_filters(self, small_patches, small_whitening, small_topo, rng):
-        init = rng.standard_normal((16, 16))
-        a = train(small_patches, small_whitening, small_topo,
-                  TrainConfig(seed=2, max_iters=3), init_filters=init)
-        b = train(small_patches, small_whitening, small_topo,
-                  TrainConfig(seed=2, max_iters=3), init_filters=init)
-        npt.assert_array_equal(a.filters, b.filters)
+    def test_one_gradient_per_accepted_filter_set(self, small_patches, small_whitening,
+                                                  small_topo, monkeypatch):
+        calls = []
 
-    def test_batched_matches_dimensions(self, small_patches, small_whitening, small_topo):
-        config = TrainConfig(seed=2, max_iters=4, batch_size=500)
-        model = train(small_patches, small_whitening, small_topo, config)
-        assert model.filters.shape == (16, 16)
-        assert max(r.ortho_error for r in model.training_log) < 1e-8
+        def counting_gradient(*args):
+            calls.append(1)
+            return tica_gradient(*args)
 
-    def test_batched_deterministic(self, small_patches, small_whitening, small_topo):
-        config = TrainConfig(seed=2, max_iters=4, batch_size=500)
-        a = train(small_patches, small_whitening, small_topo, config)
-        b = train(small_patches, small_whitening, small_topo, config)
-        npt.assert_array_equal(a.filters, b.filters)
+        monkeypatch.setattr(topica.estimation, "tica_gradient", counting_gradient)
+        model = train(small_patches, small_whitening, small_topo, REJECTING)
+        objectives = [r.objective for r in model.training_log]
+        accepted = [b > a for a, b in zip(objectives, objectives[1:])]
+        assert len(accepted) == REJECTING.max_iters
+        assert not accepted[0] and 0 < sum(accepted) < len(accepted)
+        # The first pass takes a gradient; after that, only a pass that
+        # follows an accepted one does.
+        assert len(calls) == 1 + sum(accepted[:-1])
 
-    def test_oversized_batch_is_one_batch(self, small_patches, small_whitening, small_topo):
-        # One permuted batch takes the full-batch step, up to summation order.
-        full = train(small_patches, small_whitening, small_topo,
-                     TrainConfig(seed=2, max_iters=3, tol=0.0))
-        big = train(small_patches, small_whitening, small_topo,
-                    TrainConfig(seed=2, max_iters=3, tol=0.0, batch_size=10**6))
-        assert big.iterations == full.iterations == 3
-        npt.assert_allclose(big.filters, full.filters, rtol=0, atol=1e-10)
+    def test_matches_loop_that_regradients_every_pass(self, small_patches, small_whitening,
+                                                      small_topo):
+        model = train(small_patches, small_whitening, small_topo, REJECTING)
+        filters, log = regradient_reference(small_patches, small_whitening, small_topo,
+                                            REJECTING)
+        npt.assert_array_equal(model.filters, filters)
+        assert [(r.objective, r.step) for r in model.training_log] == log
 
     def test_unit_count_mismatch(self, small_patches, small_whitening):
         topo = build_topography(3, 3, 1)
