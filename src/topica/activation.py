@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadPermutation, DimensionMismatch, ModelMismatch
 from .estimation import BasisModel, check_model_pairing
-from .images import PatchSet
+from .images import DEFAULT_FRAME_RATE, PatchSet
 from .matrixio import (
     format_float,
     meta_positive_float,
@@ -36,20 +36,16 @@ META_FILE = "trace.meta"
 @dataclass(eq=False)
 class ActivationTrace:
     activations: np.ndarray      # (n_frames, n_units)
-    energies: np.ndarray         # activations squared, elementwise
     frame_rate: float
     model_ref: str
     whitening_ref: str
+    energies: np.ndarray = field(init=False, repr=False)   # activations squared, elementwise
 
     def __post_init__(self):
         self.activations = np.asarray(self.activations, dtype=np.float64)
-        self.energies = np.asarray(self.energies, dtype=np.float64)
-        if self.activations.shape != self.energies.shape:
-            raise DimensionMismatch(
-                f"activations {self.activations.shape} vs energies {self.energies.shape}"
-            )
         if self.activations.ndim != 2:
             raise DimensionMismatch(f"trace must be 2-D, got shape {self.activations.shape}")
+        self.energies = self.activations * self.activations
 
     @property
     def n_frames(self) -> int:
@@ -61,14 +57,13 @@ class ActivationTrace:
 
 
 def compute_activation(model: BasisModel, whitening: WhiteningModel,
-                       patches: PatchSet, frame_rate: float = 24.0) -> ActivationTrace:
+                       patches: PatchSet,
+                       frame_rate: float = DEFAULT_FRAME_RATE) -> ActivationTrace:
     """Filter responses and energies of each patch row, in order."""
     check_model_pairing(model, whitening)
     z = whiten(whitening, patches)
-    activations = z @ model.filters.T
     return ActivationTrace(
-        activations=activations,
-        energies=activations * activations,
+        activations=z @ model.filters.T,
         frame_rate=frame_rate,
         model_ref=model.identity_hash(),
         whitening_ref=whitening.identity_hash(),
@@ -84,8 +79,7 @@ def reconstruct(model: BasisModel, trace: ActivationTrace) -> PatchSet:
     if trace.model_ref != model.identity_hash():
         raise ModelMismatch("trace was computed from a different basis model")
     data = trace.activations @ model.basis.T
-    return PatchSet(data=data, patch_side=model.patch_side, source_tag="reconstruction",
-                    per_patch_mean_removed=False)
+    return PatchSet(data=data, patch_side=model.patch_side, per_patch_mean_removed=False)
 
 
 def shuffle_frames(trace: ActivationTrace, seed: int) -> ActivationTrace:
@@ -94,7 +88,6 @@ def shuffle_frames(trace: ActivationTrace, seed: int) -> ActivationTrace:
     order = rng.permutation(trace.n_frames)
     return ActivationTrace(
         activations=trace.activations[order],
-        energies=trace.energies[order],
         frame_rate=trace.frame_rate,
         model_ref=trace.model_ref,
         whitening_ref=trace.whitening_ref,
@@ -109,7 +102,6 @@ def relabel_trace(trace: ActivationTrace, permutation: np.ndarray) -> Activation
         raise BadPermutation(f"not a permutation of 0..{trace.n_units - 1}")
     return ActivationTrace(
         activations=trace.activations[:, perm],
-        energies=trace.energies[:, perm],
         frame_rate=trace.frame_rate,
         model_ref=trace.model_ref,
         whitening_ref=trace.whitening_ref,
@@ -117,6 +109,7 @@ def relabel_trace(trace: ActivationTrace, permutation: np.ndarray) -> Activation
 
 
 def save_trace(trace: ActivationTrace, directory) -> None:
+    """Write format v1; its energies file is for v1 readers, `load_trace` ignores it."""
     os.makedirs(directory, exist_ok=True)
     write_matrix(os.path.join(directory, ACTIVATIONS_FILE), trace.activations)
     write_matrix(os.path.join(directory, ENERGIES_FILE), trace.energies)
@@ -133,7 +126,6 @@ def load_trace(directory) -> ActivationTrace:
     meta = read_meta(meta_path)
     return ActivationTrace(
         activations=read_matrix(os.path.join(directory, ACTIVATIONS_FILE)),
-        energies=read_matrix(os.path.join(directory, ENERGIES_FILE)),
         frame_rate=meta_positive_float(meta, "frame_rate", meta_path),
         model_ref=meta_str(meta, "model_ref", meta_path),
         whitening_ref=meta_str(meta, "whitening_ref", meta_path),

@@ -45,6 +45,13 @@ def _parse_ints(text: str, name: str, layout: str) -> tuple:
         raise ConfigError(f"{name} values must be integers, got {text!r}") from None
 
 
+def _parse_seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ConfigError(f"seed must be >= 0, got {text!r}")
+    return value
+
+
 def _parse_frame_rate(text: str) -> float:
     value = float(text)
     if not (np.isfinite(value) and value > 0):
@@ -119,13 +126,7 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
 def cmd_train(args, out) -> int:
     overrides = {name: getattr(args, name) for name in _FIELD_PARSERS}
     config = load_run_config(args.config, overrides)
-    loaded = images.load_images(args.images)
-    prepared = []
-    for img in loaded:
-        if config.crop is not None:
-            left, top, width, height = config.crop
-            img = images.crop_image(img, top, left, height, width)
-        prepared.append(images.normalize_image(img))
+    prepared = _prepare_frames(images.load_images(args.images), config.crop)
     patches = images.extract_patches_from_images(
         prepared, config.patch_side, config.n_patches, config.seed)
     model_w = whit.fit_whitening(patches, config.k)
@@ -152,16 +153,18 @@ def _centered_origin(seq: images.FrameSequence, patch_side: int) -> tuple:
     return (frame.height - patch_side) // 2, (frame.width - patch_side) // 2
 
 
-def _prepare_frames(args, seq: images.FrameSequence) -> images.FrameSequence:
-    frames = []
-    for frame in seq.frames:
-        if args.crop is not None:
-            left, top, width, height = args.crop
+def _prepare_frames(frames, crop=None, resize_width=None) -> list:
+    """Each image cropped to `crop` (a `parse_crop` tuple), resized to
+    `resize_width`, then normalized; None skips a step."""
+    prepared = []
+    for frame in frames:
+        if crop is not None:
+            left, top, width, height = crop
             frame = images.crop_image(frame, top, left, height, width)
-        if args.resize_width is not None:
-            frame = images.resize_to_width(frame, args.resize_width)
-        frames.append(images.normalize_image(frame))
-    return images.FrameSequence(frames=frames, frame_rate=seq.frame_rate)
+        if resize_width is not None:
+            frame = images.resize_to_width(frame, resize_width)
+        prepared.append(images.normalize_image(frame))
+    return prepared
 
 
 def _render_frames(arrays, lo: float, hi: float, directory) -> None:
@@ -198,11 +201,11 @@ def render_reconstructions(model: estimation.BasisModel, trace: act.ActivationTr
 
 def cmd_activate(args, out) -> int:
     model, model_w = _load_model_dir(args.model)
-    frame_rate = args.frame_rate
     if args.frames is not None:
-        seq = _prepare_frames(args, images.load_sequence(args.frames))
-        if frame_rate is None:
-            frame_rate = seq.frame_rate
+        seq = images.load_sequence(args.frames)
+        seq = images.FrameSequence(_prepare_frames(seq.frames, args.crop, args.resize_width),
+                                   seq.frame_rate)
+        source_rate = seq.frame_rate
         if args.origin is not None:
             left, top = args.origin
             origin = (top, left)
@@ -215,15 +218,13 @@ def cmd_activate(args, out) -> int:
             orientation=args.bar, n_frames=args.bar_frames)
         seq = stimulus.generate_moving_bar(spec)
         patches = images.extract_fixed_patches(seq, (0, 0), model.patch_side)
-        if frame_rate is None:
-            frame_rate = seq.frame_rate
+        source_rate = seq.frame_rate
     else:
         probe = stimulus.generate_single_basis_probe(model, args.probe)
         patches = images.PatchSet(probe.values.reshape(1, -1), model.patch_side,
-                                  source_tag=f"probe(unit={args.probe})",
                                   per_patch_mean_removed=True)
-        if frame_rate is None:
-            frame_rate = 24.0
+        source_rate = images.DEFAULT_FRAME_RATE
+    frame_rate = args.frame_rate if args.frame_rate is not None else source_rate
     trace = act.compute_activation(model, model_w, patches, frame_rate)
     act.save_trace(trace, out)
     render_energy_heatmaps(trace, model.topo, os.path.join(out, HEATMAP_DIR))
@@ -365,18 +366,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--mode", required=True, choices=["autocorr", "adjacency", "locality"])
     p_an.add_argument("--model", help="model directory (topography source)")
     p_an.add_argument("--max-lag", dest="max_lag", type=int, default=10)
-    p_an.add_argument("--shuffle-baseline", dest="shuffle_baseline", type=int, default=0,
+    p_an.add_argument("--shuffle-baseline", dest="shuffle_baseline", type=_parse_seed, default=0,
                       help="seed for the frame-shuffled autocorrelation control")
     p_an.add_argument("--energy", action="store_true",
                       help="autocorrelation of energies instead of activations")
     p_an.add_argument("--compare", help="second trace directory for the permutation test")
     p_an.add_argument("--compare-model", dest="compare_model",
                       help="model directory for the second trace's topography")
-    p_an.add_argument("--shuffle-topo", dest="shuffle_topo", type=int,
+    p_an.add_argument("--shuffle-topo", dest="shuffle_topo", type=_parse_seed,
                       help="seed to shuffle unit positions before adjacency")
     p_an.add_argument("--permutations", type=int, default=10000)
     p_an.add_argument("--k", type=int, default=5, help="cluster size for locality mode")
-    p_an.add_argument("--seed", type=int, default=0)
+    p_an.add_argument("--seed", type=_parse_seed, default=0)
     p_an.set_defaults(func=cmd_analyze)
 
     p_r = sub.add_parser("render", help="montage of all basis images on the lattice")

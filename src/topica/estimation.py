@@ -91,6 +91,8 @@ class TrainConfig:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tol < 0:
             raise ConfigError(f"tol must be >= 0, got {self.tol}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -109,7 +111,6 @@ class BasisModel:
     basis: np.ndarray            # (n_pixels, n), columns are basis images
     topo: Topography
     whitening_ref: str
-    kind: str                    # "TICA" or "ICA"
     epsilon: float
     seed: int
     training_log: list = field(default_factory=list)
@@ -117,6 +118,11 @@ class BasisModel:
     @property
     def n_units(self) -> int:
         return self.filters.shape[0]
+
+    @property
+    def kind(self) -> str:
+        """ICA on a radius-0 lattice, which pools nothing; TICA otherwise."""
+        return "ICA" if self.topo.radius == 0 else "TICA"
 
     @property
     def iterations(self) -> int:
@@ -323,7 +329,6 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
         basis=basis,
         topo=topo,
         whitening_ref=whitening.identity_hash(),
-        kind="ICA" if topo.radius == 0 else "TICA",
         epsilon=config.epsilon,
         seed=config.seed,
         training_log=log,
@@ -369,9 +374,6 @@ def load_basis(directory) -> BasisModel:
     meta = read_meta(meta_path)
     filters = read_matrix(os.path.join(directory, FILTERS_FILE))
     basis = read_matrix(os.path.join(directory, BASIS_FILE))
-    kind = meta_str(meta, "kind", meta_path)
-    if kind not in ("TICA", "ICA"):
-        raise FormatError(f"{directory}: unknown model kind {kind!r}")
     permutation = None
     if "permutation" in meta:
         permutation = meta_ints(meta, "permutation", meta_path)
@@ -396,16 +398,19 @@ def load_basis(directory) -> BasisModel:
                        for row in list(csv.reader(f))[1:]]
         except (ValueError, IndexError):
             raise FormatError(f"{log_path}: rows must be iter,objective,step") from None
-    return BasisModel(
+    model = BasisModel(
         filters=filters,
         basis=basis,
         topo=topo,
         whitening_ref=meta_str(meta, "whitening_ref", meta_path),
-        kind=kind,
         epsilon=meta_float(meta, "epsilon", meta_path),
         seed=meta_int(meta, "seed", meta_path),
         training_log=log,
     )
+    kind = meta_str(meta, "kind", meta_path)
+    if kind != model.kind:
+        raise FormatError(f"{meta_path}: kind {kind!r} does not match radius {topo.radius}")
+    return model
 
 
 def check_model_pairing(model: BasisModel, whitening: WhiteningModel) -> None:

@@ -59,7 +59,6 @@ class PatchSet:
 
     data: np.ndarray
     patch_side: int
-    source_tag: str = ""
     per_patch_mean_removed: bool = False
 
     def __post_init__(self):
@@ -140,12 +139,7 @@ def extract_random_patches(img: GrayImage, patch_side: int, count: int, seed: in
     for i in range(count):
         crop = img.values[rows[i]:rows[i] + patch_side, cols[i]:cols[i] + patch_side]
         out[i] = crop.reshape(-1)
-    return PatchSet(
-        _remove_row_means(out),
-        patch_side,
-        source_tag=f"random(seed={seed}, count={count})",
-        per_patch_mean_removed=True,
-    )
+    return PatchSet(_remove_row_means(out), patch_side, per_patch_mean_removed=True)
 
 
 def per_image_seed(master_seed: int, image_index: int) -> int:
@@ -170,12 +164,7 @@ def extract_patches_from_images(images, patch_side: int, count: int, seed: int) 
         if n == 0:
             continue
         parts.append(extract_random_patches(img, patch_side, n, per_image_seed(seed, i)).data)
-    return PatchSet(
-        np.concatenate(parts, axis=0),
-        patch_side,
-        source_tag=f"random(seed={seed}, count={count}, images={len(images)})",
-        per_patch_mean_removed=True,
-    )
+    return PatchSet(np.concatenate(parts, axis=0), patch_side, per_patch_mean_removed=True)
 
 
 def extract_fixed_patches(seq: FrameSequence, origin, patch_side: int) -> PatchSet:
@@ -194,12 +183,7 @@ def extract_fixed_patches(seq: FrameSequence, origin, patch_side: int) -> PatchS
     out = np.empty((len(seq), patch_side * patch_side))
     for t, fr in enumerate(seq.frames):
         out[t] = fr.values[row:row + patch_side, col:col + patch_side].reshape(-1)
-    return PatchSet(
-        _remove_row_means(out),
-        patch_side,
-        source_tag=f"fixed(origin=({row},{col}))",
-        per_patch_mean_removed=True,
-    )
+    return PatchSet(_remove_row_means(out), patch_side, per_patch_mean_removed=True)
 
 
 def _resample_axis(values: np.ndarray, new_len: int, axis: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadSpec, IndexOutOfRange
 from .estimation import BasisModel
-from .images import FrameSequence, GrayImage, normalize_image
+from .images import DEFAULT_FRAME_RATE, FrameSequence, GrayImage, normalize_image
 
 
 @dataclass
@@ -61,7 +61,7 @@ def generate_moving_bar(spec: BarStimulusSpec) -> FrameSequence:
         if spec.orientation == "vertical":
             values = values.T.copy()
         frames.append(GrayImage(values))
-    return FrameSequence(frames=frames, frame_rate=24.0)
+    return FrameSequence(frames=frames, frame_rate=DEFAULT_FRAME_RATE)
 
 
 def generate_single_basis_probe(model: BasisModel, unit: int) -> GrayImage:
@@ -171,4 +171,4 @@ def generate_panning_sequence(scene: GrayImage, window: int, n_frames: int,
                 dy = -dy
         else:
             y = 0.0
-    return FrameSequence(frames=frames, frame_rate=24.0)
+    return FrameSequence(frames=frames, frame_rate=DEFAULT_FRAME_RATE)

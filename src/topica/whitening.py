@@ -43,8 +43,14 @@ class WhiteningModel:
     transform: np.ndarray       # (k, n_pixels), rows e_i^T / sqrt(lambda_i)
     inverse: np.ndarray         # (n_pixels, k), columns e_i * sqrt(lambda_i)
     eigenvalues: np.ndarray     # (k,), strictly positive, non-increasing
-    n_pixels: int
-    k: int
+
+    @property
+    def k(self) -> int:
+        return self.transform.shape[0]
+
+    @property
+    def n_pixels(self) -> int:
+        return self.transform.shape[1]
 
     def identity_hash(self) -> str:
         return content_hash(
@@ -117,8 +123,6 @@ def fit_whitening(patches: PatchSet, k: int) -> WhiteningModel:
         transform=vectors / scale[:, None],
         inverse=vectors.T * scale[None, :],
         eigenvalues=eigenvalues,
-        n_pixels=n_pixels,
-        k=k,
     )
 
 
@@ -166,4 +170,4 @@ def load_whitening(directory) -> WhiteningModel:
         raise FormatError(f"{directory}: matrix shapes disagree with header")
     if eigenvalues.shape != (k,):
         raise FormatError(f"{directory}: expected {k} eigenvalues, got {eigenvalues.shape[0]}")
-    return WhiteningModel(transform, inverse, eigenvalues, n_pixels, k)
+    return WhiteningModel(transform, inverse, eigenvalues)

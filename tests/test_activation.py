@@ -17,6 +17,7 @@ from topica.activation import (
 )
 from topica.errors import BadPermutation, DimensionMismatch, ModelMismatch
 from topica.images import PatchSet
+from topica.matrixio import read_matrix
 
 
 @pytest.fixture()
@@ -89,11 +90,21 @@ def test_relabel_rejects_non_permutation(trace):
 
 def test_trace_shape_validation():
     with pytest.raises(DimensionMismatch):
-        ActivationTrace(activations=np.zeros((3, 4)), energies=np.zeros((3, 5)),
+        ActivationTrace(activations=np.zeros(4), frame_rate=24.0, model_ref="m",
+                        whitening_ref="w")
+
+
+def test_energies_are_derived_not_passed():
+    with pytest.raises(TypeError):
+        ActivationTrace(activations=np.ones((2, 3)), energies=np.ones((2, 3)),
                         frame_rate=24.0, model_ref="m", whitening_ref="w")
-    with pytest.raises(DimensionMismatch):
-        ActivationTrace(activations=np.zeros(4), energies=np.zeros(4),
-                        frame_rate=24.0, model_ref="m", whitening_ref="w")
+
+
+def test_load_derives_energies_and_save_still_writes_them(tmp_path, trace):
+    save_trace(trace, tmp_path)
+    npt.assert_array_equal(read_matrix(tmp_path / "energies.ticm"), trace.activations ** 2)
+    (tmp_path / "energies.ticm").unlink()
+    npt.assert_array_equal(load_trace(tmp_path).energies, trace.energies)
 
 
 def test_save_load_roundtrip(tmp_path, trace):

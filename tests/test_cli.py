@@ -270,6 +270,17 @@ class TestMalformedModelMeta:
         assert proc.stderr.startswith("topica: error: ") and "Traceback" not in proc.stderr
         assert meta_file in proc.stderr and repr(key) in proc.stderr
 
+    def test_kind_contradicting_radius_exits_2(self, tmp_path, model_dir):
+        model = tmp_path / "model"
+        shutil.copytree(model_dir, model)
+        _edit_meta(model / "basis.meta", "kind", "ICA")     # the model has radius 1
+        proc = _run_cli("activate", "--model", str(model), "--bar", "vertical",
+                        "--out", str(tmp_path / "t"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("topica: error: ") and "Traceback" not in proc.stderr
+        assert "basis.meta" in proc.stderr
+        assert not (tmp_path / "t").exists()
+
     def test_non_ascii_meta_exits_2(self, tmp_path, model_dir, capsys):
         model = tmp_path / "model"
         shutil.copytree(model_dir, model)
@@ -535,6 +546,18 @@ class TestAnalyzeCommand:
         assert os.listdir(out) == ["summary.txt"]
         assert "spread" in (out / "summary.txt").read_text()
 
+    def test_energies_file_is_not_read(self, tmp_path, trace_dir, model_dir):
+        trace = tmp_path / "trace"
+        shutil.copytree(trace_dir, trace)
+        write_matrix(trace / "energies.ticm", np.abs(read_matrix(trace / "activations.ticm")))
+        summaries = []
+        for source in (trace_dir, trace):
+            out = tmp_path / f"adj-{len(summaries)}"
+            assert main(["analyze", "--trace", str(source), "--mode", "adjacency",
+                         "--model", str(model_dir), "--out", str(out)]) == 0
+            summaries.append((out / "summary.txt").read_text())
+        assert summaries[0] == summaries[1]
+
     def test_shuffle_topo_changes_adjacency(self, tmp_path, trace_dir, model_dir):
         base = tmp_path / "base"
         shuf = tmp_path / "shuf"
@@ -543,6 +566,31 @@ class TestAnalyzeCommand:
         main(["analyze", "--trace", str(trace_dir), "--mode", "adjacency",
               "--model", str(model_dir), "--shuffle-topo", "4", "--out", str(shuf)])
         assert (base / "adjacency.csv").read_text() != (shuf / "adjacency.csv").read_text()
+
+
+class TestNegativeSeeds:
+    @pytest.mark.parametrize("flag", ["--seed", "--shuffle-baseline", "--shuffle-topo"])
+    def test_analyze_flag_exits_1(self, tmp_path, trace_dir, model_dir, flag):
+        out = tmp_path / "a"
+        proc = _run_cli("analyze", "--trace", str(trace_dir), "--mode", "adjacency",
+                        "--model", str(model_dir), flag, "-1", "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("topica: error: ") and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("use_config", [False, True])
+    def test_train_seed_exits_1(self, tmp_path, image_dir, use_config):
+        out = tmp_path / "m"
+        if use_config:
+            (tmp_path / "run.conf").write_text("seed = -1\n")
+            flags = ["--config", str(tmp_path / "run.conf")]
+        else:
+            flags = ["--seed", "-1"]
+        proc = _run_cli("train", "--images", str(image_dir), "--out", str(out), *flags)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("topica: error: ") and "Traceback" not in proc.stderr
+        assert "seed" in proc.stderr
+        assert not out.exists()
 
 
 class TestRenderCommand:

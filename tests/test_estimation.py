@@ -154,7 +154,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"step0": 0.0}, {"epsilon": -1.0}, {"max_iters": 0},
-        {"tol": -1e-9},
+        {"tol": -1e-9}, {"seed": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
@@ -294,12 +294,25 @@ class TestPersistence:
         shuffled = topica.shuffle_topography(small_tica.topo, seed=6)
         model = BasisModel(
             filters=small_tica.filters, basis=small_tica.basis, topo=shuffled,
-            whitening_ref=small_tica.whitening_ref, kind="TICA",
-            epsilon=small_tica.epsilon, seed=small_tica.seed)
+            whitening_ref=small_tica.whitening_ref, epsilon=small_tica.epsilon,
+            seed=small_tica.seed)
         save_basis(model, tmp_path)
         back = load_basis(tmp_path)
         npt.assert_array_equal(back.topo.permutation, shuffled.permutation)
         npt.assert_array_equal(back.topo.h, shuffled.h)
+
+    def test_kind_is_derived_from_radius(self, small_tica):
+        with pytest.raises(TypeError):
+            BasisModel(filters=small_tica.filters, basis=small_tica.basis,
+                       topo=small_tica.topo, whitening_ref=small_tica.whitening_ref,
+                       kind="ICA", epsilon=small_tica.epsilon, seed=small_tica.seed)
+
+    def test_kind_contradicting_radius_rejected(self, tmp_path, small_tica):
+        save_basis(small_tica, tmp_path)
+        meta = (tmp_path / "basis.meta").read_text()
+        (tmp_path / "basis.meta").write_text(meta.replace("kind = TICA", "kind = ICA"))
+        with pytest.raises(FormatError, match="basis.meta"):
+            load_basis(tmp_path)
 
     def test_corrupt_kind_rejected(self, tmp_path, small_tica):
         save_basis(small_tica, tmp_path)

@@ -12,6 +12,7 @@ from topica.errors import (
 from topica.images import (
     FrameSequence,
     GrayImage,
+    PatchSet,
     crop_image,
     extract_fixed_patches,
     extract_patches_from_images,
@@ -71,6 +72,10 @@ class TestRandomPatches:
         assert ps.patch_side == 4
         assert ps.per_patch_mean_removed
         npt.assert_allclose(ps.data.mean(axis=1), 0.0, atol=1e-12)
+
+    def test_no_source_tag(self):
+        with pytest.raises(TypeError):
+            PatchSet(np.zeros((2, 4)), 2, source_tag="random")
 
     def test_deterministic(self, small_images):
         img = small_images[0]

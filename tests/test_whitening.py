@@ -106,10 +106,16 @@ def test_identity_hash_tracks_content(rng):
         transform=model.transform * 1.0000001,
         inverse=model.inverse,
         eigenvalues=model.eigenvalues,
-        n_pixels=model.n_pixels,
-        k=model.k,
     )
     assert model.identity_hash() != other.identity_hash()
+
+
+def test_sizes_are_derived_from_the_transform(rng):
+    model = fit_whitening(random_patches(rng), 6)
+    assert (model.k, model.n_pixels) == model.transform.shape
+    with pytest.raises(TypeError):
+        WhiteningModel(transform=model.transform, inverse=model.inverse,
+                       eigenvalues=model.eigenvalues, n_pixels=model.n_pixels, k=model.k)
 
 
 def test_deterministic_fit(small_patches):
