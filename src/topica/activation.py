@@ -8,13 +8,12 @@ as per-unit time series.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadPermutation, DimensionMismatch, ModelMismatch
+from .errors import DataError, DimensionMismatch, ModelMismatch
 from .estimation import BasisModel, check_model_pairing
 from .images import DEFAULT_FRAME_RATE, PatchSet
 from .matrixio import (
@@ -25,7 +24,9 @@ from .matrixio import (
     read_meta,
     write_matrix,
     write_meta,
+    write_table,
 )
+from .topography import check_permutation
 from .whitening import WhiteningModel, whiten
 
 ACTIVATIONS_FILE = "activations.ticm"
@@ -45,6 +46,9 @@ class ActivationTrace:
         self.activations = np.asarray(self.activations, dtype=np.float64)
         if self.activations.ndim != 2:
             raise DimensionMismatch(f"trace must be 2-D, got shape {self.activations.shape}")
+        if 0 in self.activations.shape:
+            raise DataError(f"trace needs at least one frame and one unit, "
+                            f"got shape {self.activations.shape}")
         self.energies = self.activations * self.activations
 
     @property
@@ -96,10 +100,7 @@ def shuffle_frames(trace: ActivationTrace, seed: int) -> ActivationTrace:
 
 def relabel_trace(trace: ActivationTrace, permutation: np.ndarray) -> ActivationTrace:
     """Reorder unit columns: new column i is old column permutation[i]."""
-    perm = np.asarray(permutation, dtype=np.intp)
-    if perm.shape != (trace.n_units,) or not np.array_equal(np.sort(perm),
-                                                            np.arange(trace.n_units)):
-        raise BadPermutation(f"not a permutation of 0..{trace.n_units - 1}")
+    perm = check_permutation(permutation, trace.n_units)
     return ActivationTrace(
         activations=trace.activations[:, perm],
         frame_rate=trace.frame_rate,
@@ -135,8 +136,5 @@ def load_trace(directory) -> ActivationTrace:
 def export_trace_csv(trace: ActivationTrace, path, use_energy: bool = False) -> None:
     """One row per frame: frame index then one column per unit."""
     values = trace.energies if use_energy else trace.activations
-    with open(path, "w", newline="", encoding="ascii") as f:
-        writer = csv.writer(f)
-        writer.writerow(["frame"] + [f"unit_{i}" for i in range(trace.n_units)])
-        for t in range(trace.n_frames):
-            writer.writerow([t] + [format_float(v) for v in values[t]])
+    write_table(path, ["frame"] + [f"unit_{i}" for i in range(trace.n_units)],
+                ([t, *row] for t, row in enumerate(values)))

@@ -13,7 +13,6 @@ chance control:
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -21,8 +20,11 @@ import numpy as np
 
 from .activation import ActivationTrace, shuffle_frames
 from .errors import BadK, ConfigError, DegenerateSeries, DimensionMismatch, EmptyGroup
-from .matrixio import format_float
+from .matrixio import format_float, write_table
 from .topography import Topography, adjacent_pairs, pairwise_distances
+
+# Random relabelings drawn by a permutation test unless told otherwise.
+N_PERMUTATIONS = 10000
 
 
 @dataclass(eq=False)
@@ -138,7 +140,7 @@ def adjacent_correlation(trace: ActivationTrace, topo: Topography) -> AdjacencyR
     return AdjacencyReport(pairs=pairs, pair_correlations=correlations, mean_r=mean_r)
 
 
-def permutation_test(group_a: np.ndarray, group_b: np.ndarray, n_permutations: int = 5000,
+def permutation_test(group_a: np.ndarray, group_b: np.ndarray, n_permutations: int = N_PERMUTATIONS,
                      seed: int = 0) -> PermutationResult:
     """Two-sided test of mean difference by random relabeling.
 
@@ -170,7 +172,7 @@ def permutation_test(group_a: np.ndarray, group_b: np.ndarray, n_permutations: i
 
 
 def compare_adjacency(report: AdjacencyReport, other: AdjacencyReport,
-                      n_permutations: int = 5000, seed: int = 0) -> AdjacencyReport:
+                      n_permutations: int = N_PERMUTATIONS, seed: int = 0) -> AdjacencyReport:
     """Attach a permutation test of mean_r against another model's report."""
     mine = report.pair_correlations[~np.isnan(report.pair_correlations)]
     theirs = other.pair_correlations[~np.isnan(other.pair_correlations)]
@@ -212,20 +214,13 @@ def cluster_locality(trace: ActivationTrace, topo: Topography, k: int) -> float:
 
 
 def write_autocorr_csv(report: AutocorrReport, path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as f:
-        writer = csv.writer(f)
-        writer.writerow(["lag", "mean_r", "shuffled_mean_r"])
-        for lag in report.lags:
-            writer.writerow([int(lag), format_float(report.mean_autocorr[lag]),
-                             format_float(report.shuffled_mean[lag])])
+    write_table(path, ["lag", "mean_r", "shuffled_mean_r"],
+                zip(report.lags, report.mean_autocorr, report.shuffled_mean))
 
 
 def write_adjacency_csv(report: AdjacencyReport, path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as f:
-        writer = csv.writer(f)
-        writer.writerow(["unit_i", "unit_j", "r"])
-        for (i, j), r in zip(report.pairs, report.pair_correlations):
-            writer.writerow([int(i), int(j), format_float(r)])
+    write_table(path, ["unit_i", "unit_j", "r"],
+                ((i, j, r) for (i, j), r in zip(report.pairs, report.pair_correlations)))
 
 
 def format_summary(autocorr: AutocorrReport | None = None,

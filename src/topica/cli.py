@@ -23,7 +23,7 @@ import numpy as np
 
 from . import activation as act
 from . import analysis, estimation, images, stimulus, whitening as whit
-from .errors import BadDimensions, ConfigError, TopicaError
+from .errors import BadDimensions, ConfigError, ModelMismatch, TopicaError
 from .matrixio import format_float, read_meta
 from .topography import Topography, build_topography, shuffle_topography
 
@@ -45,11 +45,14 @@ def _parse_ints(text: str, name: str, layout: str) -> tuple:
         raise ConfigError(f"{name} values must be integers, got {text!r}") from None
 
 
-def _parse_seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ConfigError(f"seed must be >= 0, got {text!r}")
-    return value
+def _int_at_least(lo: int):
+    """argparse type of an integer flag whose values below `lo` are usage errors."""
+    def integer(text: str) -> int:    # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < lo:
+            raise ConfigError(f"expected an integer >= {lo}, got {text!r}")
+        return value
+    return integer
 
 
 def _parse_frame_rate(text: str) -> float:
@@ -167,14 +170,6 @@ def _prepare_frames(frames, crop=None, resize_width=None) -> list:
     return prepared
 
 
-def _render_frames(arrays, lo: float, hi: float, directory) -> None:
-    """Write one PGM per frame, in frame order."""
-    os.makedirs(directory, exist_ok=True)
-    for t, values in enumerate(arrays):
-        path = os.path.join(directory, images.FRAME_NAME_FORMAT.format(t))
-        images.write_image(path, images.GrayImage(values), lo=lo, hi=hi)
-
-
 def _upscale(grid: np.ndarray, scale: int) -> np.ndarray:
     return np.repeat(np.repeat(grid, scale, axis=0), scale, axis=1)
 
@@ -183,20 +178,16 @@ def render_energy_heatmaps(trace: act.ActivationTrace, topo: Topography, directo
     """One PGM per frame: unit energies on the lattice, nearest-neighbor
     upscaled, all frames scaled by the sequence-wide peak energy."""
     grid_index = topo.unit_grid()
-    peak = float(trace.energies.max()) if trace.n_frames else 0.0
-    arrays = (_upscale(trace.energies[t][grid_index], HEATMAP_SCALE)
-              for t in range(trace.n_frames))
-    _render_frames(arrays, 0.0, peak, directory)
+    frames = (images.GrayImage(_upscale(e[grid_index], HEATMAP_SCALE)) for e in trace.energies)
+    images.write_frames(directory, frames, 0.0, float(trace.energies.max()))
 
 
 def render_reconstructions(model: estimation.BasisModel, trace: act.ActivationTrace,
                            directory) -> None:
     recon = act.reconstruct(model, trace)
     side = recon.patch_side
-    lo = float(recon.data.min()) if recon.data.size else 0.0
-    hi = float(recon.data.max()) if recon.data.size else 0.0
-    arrays = (recon.data[t].reshape(side, side) for t in range(recon.data.shape[0]))
-    _render_frames(arrays, lo, hi, directory)
+    frames = (images.GrayImage(row.reshape(side, side)) for row in recon.data)
+    images.write_frames(directory, frames, float(recon.data.min()), float(recon.data.max()))
 
 
 def cmd_activate(args, out) -> int:
@@ -235,43 +226,48 @@ def cmd_activate(args, out) -> int:
 
 def cmd_analyze(args, out) -> int:
     trace = act.load_trace(args.trace)
-    table = None
     if args.mode == "autocorr":
         report = analysis.autocorrelation(trace, args.max_lag,
                                           shuffle_seed=args.shuffle_baseline,
                                           use_energy=args.energy)
-        table = ("autocorr.csv", analysis.write_autocorr_csv)
+        analysis.write_autocorr_csv(report, os.path.join(out, "autocorr.csv"))
         summary = analysis.format_summary(autocorr=report)
     elif args.mode == "adjacency":
-        topo = _analysis_topo(args)
+        topo = _analysis_topo(args, trace)
         report = analysis.adjacent_correlation(trace, topo)
         if args.compare is not None:
             other_trace = act.load_trace(args.compare)
-            other_topo = (estimation.load_basis(args.compare_model).topo
-                          if args.compare_model else topo)
+            other_topo = topo
+            if args.compare_model:
+                other_topo = _trace_model(args.compare, other_trace, args.compare_model).topo
             other = analysis.adjacent_correlation(other_trace, other_topo)
             report = analysis.compare_adjacency(report, other,
                                                 n_permutations=args.permutations,
                                                 seed=args.seed)
-        table = ("adjacency.csv", analysis.write_adjacency_csv)
+        analysis.write_adjacency_csv(report, os.path.join(out, "adjacency.csv"))
         summary = analysis.format_summary(adjacency=report)
     else:
-        topo = _analysis_topo(args)
+        topo = _analysis_topo(args, trace)
         value = analysis.cluster_locality(trace, topo, args.k)
         summary = analysis.format_summary(locality=value, locality_k=args.k)
-    if table is not None:
-        name, write = table
-        write(report, os.path.join(out, name))
     with open(os.path.join(out, "summary.txt"), "w", encoding="ascii") as f:
         f.write(summary)
     sys.stdout.write(summary)
     return 0
 
 
-def _analysis_topo(args) -> Topography:
+def _trace_model(trace_dir, trace: act.ActivationTrace, model_dir) -> estimation.BasisModel:
+    """The model in `model_dir`, after checking that it computed the trace."""
+    model = estimation.load_basis(model_dir)
+    if trace.model_ref != model.identity_hash():
+        raise ModelMismatch(f"trace {trace_dir} was not computed by the model in {model_dir}")
+    return model
+
+
+def _analysis_topo(args, trace: act.ActivationTrace) -> Topography:
     if args.model is None:
         raise ConfigError(f"--model is required for {args.mode} analysis")
-    topo = estimation.load_basis(args.model).topo
+    topo = _trace_model(args.trace, trace, args.model).topo
     if args.shuffle_topo is not None:
         topo = shuffle_topography(topo, args.shuffle_topo)
     return topo
@@ -348,16 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--frames", help="directory of frame_NNNNNN.pgm files")
     source.add_argument("--bar", choices=["horizontal", "vertical"],
                         help="synthetic moving-bar stimulus")
-    source.add_argument("--probe", type=int, metavar="UNIT",
+    source.add_argument("--probe", type=_int_at_least(0), metavar="UNIT",
                         help="single-basis probe patch for one unit")
     p_act.add_argument("--origin", type=lambda text: _parse_ints(text, "origin", "left,top"),
                        help="top-left patch corner as left,top (default: frame center)")
     p_act.add_argument("--crop", type=parse_crop,
                        help="left,top,width,height applied to every frame")
-    p_act.add_argument("--resize-width", dest="resize_width", type=int)
+    p_act.add_argument("--resize-width", dest="resize_width", type=_int_at_least(1))
     p_act.add_argument("--frame-rate", dest="frame_rate", type=_parse_frame_rate)
-    p_act.add_argument("--bar-frames", dest="bar_frames", type=int, default=16)
-    p_act.add_argument("--bar-thickness", dest="bar_thickness", type=int, default=1)
+    p_act.add_argument("--bar-frames", dest="bar_frames", type=_int_at_least(1), default=16)
+    p_act.add_argument("--bar-thickness", dest="bar_thickness", type=_int_at_least(1), default=1)
     p_act.set_defaults(func=cmd_activate)
 
     p_an = sub.add_parser("analyze", help="temporal/spatial statistics of a trace")
@@ -365,19 +361,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--out", required=True)
     p_an.add_argument("--mode", required=True, choices=["autocorr", "adjacency", "locality"])
     p_an.add_argument("--model", help="model directory (topography source)")
-    p_an.add_argument("--max-lag", dest="max_lag", type=int, default=10)
-    p_an.add_argument("--shuffle-baseline", dest="shuffle_baseline", type=_parse_seed, default=0,
+    p_an.add_argument("--max-lag", dest="max_lag", type=_int_at_least(1), default=10)
+    p_an.add_argument("--shuffle-baseline", dest="shuffle_baseline", type=_int_at_least(0),
+                      default=0,
                       help="seed for the frame-shuffled autocorrelation control")
     p_an.add_argument("--energy", action="store_true",
                       help="autocorrelation of energies instead of activations")
     p_an.add_argument("--compare", help="second trace directory for the permutation test")
     p_an.add_argument("--compare-model", dest="compare_model",
                       help="model directory for the second trace's topography")
-    p_an.add_argument("--shuffle-topo", dest="shuffle_topo", type=_parse_seed,
+    p_an.add_argument("--shuffle-topo", dest="shuffle_topo", type=_int_at_least(0),
                       help="seed to shuffle unit positions before adjacency")
-    p_an.add_argument("--permutations", type=int, default=10000)
-    p_an.add_argument("--k", type=int, default=5, help="cluster size for locality mode")
-    p_an.add_argument("--seed", type=_parse_seed, default=0)
+    p_an.add_argument("--permutations", type=_int_at_least(1), default=analysis.N_PERMUTATIONS)
+    p_an.add_argument("--k", type=_int_at_least(1), default=5,
+                      help="cluster size for locality mode")
+    p_an.add_argument("--seed", type=_int_at_least(0), default=0)
     p_an.set_defaults(func=cmd_analyze)
 
     p_r = sub.add_parser("render", help="montage of all basis images on the lattice")

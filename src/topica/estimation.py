@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .matrixio import (
     read_meta,
     write_matrix,
     write_meta,
+    write_table,
 )
 from .topography import Topography
 from .whitening import WhiteningModel, whiten
@@ -101,6 +103,10 @@ class TrainingRecord:
     objective: float
     step: float
     ortho_error: float
+
+
+# The columns of LOG_FILE, in order, each with the type that parses it.
+LOG_COLUMNS = get_type_hints(TrainingRecord)
 
 
 @dataclass(eq=False)
@@ -361,12 +367,23 @@ def save_basis(model: BasisModel, directory) -> None:
     if not np.array_equal(model.topo.permutation, identity):
         meta["permutation"] = ",".join(str(int(p)) for p in model.topo.permutation)
     write_meta(os.path.join(directory, META_FILE), meta)
-    with open(os.path.join(directory, LOG_FILE), "w", newline="", encoding="ascii") as f:
-        writer = csv.writer(f)
-        writer.writerow(["iter", "objective", "step"])
-        for record in model.training_log:
-            writer.writerow([record.iteration, format_float(record.objective),
-                             format_float(record.step)])
+    write_table(os.path.join(directory, LOG_FILE), list(LOG_COLUMNS),
+                (astuple(record) for record in model.training_log))
+
+
+def _read_log(path) -> list:
+    """The records of a training log whose header is exactly `LOG_COLUMNS`."""
+    # UnicodeDecodeError (non-ASCII bytes) and zip's length check are ValueErrors too.
+    try:
+        with open(path, newline="", encoding="ascii") as f:
+            rows = list(csv.reader(f))
+        if not rows or rows[0] != list(LOG_COLUMNS):
+            raise ValueError
+        return [TrainingRecord(*(parse(v) for parse, v in
+                                 zip(LOG_COLUMNS.values(), row, strict=True)))
+                for row in rows[1:]]
+    except (ValueError, csv.Error):
+        raise FormatError(f"{path}: expected the columns {','.join(LOG_COLUMNS)}") from None
 
 
 def load_basis(directory) -> BasisModel:
@@ -388,16 +405,8 @@ def load_basis(directory) -> BasisModel:
     if basis.shape[1] != filters.shape[0]:
         raise FormatError(f"{os.path.join(directory, BASIS_FILE)}: {basis.shape[1]} basis "
                           f"columns for {filters.shape[0]} filters")
-    log = []
     log_path = os.path.join(directory, LOG_FILE)
-    if os.path.exists(log_path):
-        # UnicodeDecodeError (non-ASCII bytes) is a ValueError too.
-        try:
-            with open(log_path, newline="", encoding="ascii") as f:
-                log = [TrainingRecord(int(row[0]), float(row[1]), float(row[2]), float("nan"))
-                       for row in list(csv.reader(f))[1:]]
-        except (ValueError, IndexError):
-            raise FormatError(f"{log_path}: rows must be iter,objective,step") from None
+    log = _read_log(log_path) if os.path.exists(log_path) else []
     model = BasisModel(
         filters=filters,
         basis=basis,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class PatchSet:
 class FrameSequence:
     """Ordered frames of identical size plus their frame rate."""
 
-    frames: list = field(default_factory=list)
+    frames: list
     frame_rate: float = DEFAULT_FRAME_RATE
 
     def __post_init__(self):
@@ -319,15 +319,17 @@ def load_sequence(directory) -> FrameSequence:
     return FrameSequence(frames, frame_rate)
 
 
-def save_sequence(seq: FrameSequence, directory, lo: float | None = None,
-                  hi: float | None = None) -> None:
-    """Write frames as numbered PGMs with a shared linear intensity scale."""
+def write_frames(directory, frames, lo: float, hi: float) -> None:
+    """Create `directory` and write the frames (GrayImages) to it in order as
+    frame_NNNNNN.pgm, all mapping [lo, hi] onto 0..255."""
     os.makedirs(directory, exist_ok=True)
-    if lo is None:
-        lo = min(float(f.values.min()) for f in seq.frames)
-    if hi is None:
-        hi = max(float(f.values.max()) for f in seq.frames)
-    for t, frame in enumerate(seq.frames):
+    for t, frame in enumerate(frames):
         write_image(os.path.join(directory, FRAME_NAME_FORMAT.format(t)), frame, lo, hi)
+
+
+def save_sequence(seq: FrameSequence, directory) -> None:
+    """Write frames as numbered PGMs on the sequence's own intensity range."""
+    write_frames(directory, seq.frames, min(float(f.values.min()) for f in seq.frames),
+                 max(float(f.values.max()) for f in seq.frames))
     with open(os.path.join(directory, SEQUENCE_META_NAME), "w", encoding="ascii") as f:
         f.write(f"frame_rate={format_float(seq.frame_rate)}\n")

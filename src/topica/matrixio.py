@@ -5,11 +5,12 @@ little-endian fields (rows, cols), then rows*cols float64 little-endian
 values in row-major order.
 
 Metadata headers are ``key = value`` lines with ``#`` comments, the same
-syntax the CLI config files use.
+syntax the CLI config files use. Tables are CSV with one header row.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import os
 import struct
@@ -60,6 +61,16 @@ def read_payload(f, size: int, path) -> bytes:
 def format_float(x) -> str:
     """Render a float so that parsing it back is bit-exact."""
     return f"{float(x):.17g}"
+
+
+def write_table(path, header, rows) -> None:
+    """ASCII CSV: the header row, then each row with integers as they are and
+    every other number through `format_float`."""
+    with open(path, "w", newline="", encoding="ascii") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, (int, np.integer)) else format_float(v) for v in row]
+                         for row in rows)
 
 
 def write_meta(path, entries: dict) -> None:

@@ -24,8 +24,6 @@ class BarStimulusSpec:
     thickness: int = 1
     orientation: str = "horizontal"
     n_frames: int = 16
-    high: float = 1.0
-    low: float = 0.0
 
     def __post_init__(self):
         if self.patch_side < 1:
@@ -36,12 +34,10 @@ class BarStimulusSpec:
             raise BadSpec(f"orientation must be horizontal or vertical, got {self.orientation!r}")
         if self.n_frames < 1:
             raise BadSpec(f"n_frames must be >= 1, got {self.n_frames}")
-        if self.high == self.low:
-            raise BadSpec("high and low levels must differ")
 
 
 def generate_moving_bar(spec: BarStimulusSpec) -> FrameSequence:
-    """Bar sweeping across the patch, one exact pixel layout per frame.
+    """Bar of 1s on 0s sweeping across the patch, one exact pixel layout per frame.
 
     Frame t places the bar at offset round(t * (side - thickness) /
     (n_frames - 1)), so the first frame touches one edge and the last
@@ -56,8 +52,8 @@ def generate_moving_bar(spec: BarStimulusSpec) -> FrameSequence:
             offset = 0
         else:
             offset = int(round(t * travel / (spec.n_frames - 1)))
-        values = np.full((side, side), spec.low, dtype=np.float64)
-        values[offset:offset + thick, :] = spec.high
+        values = np.zeros((side, side))
+        values[offset:offset + thick, :] = 1.0
         if spec.orientation == "vertical":
             values = values.T.copy()
         frames.append(GrayImage(values))

@@ -21,7 +21,7 @@ class Topography:
     height: int
     radius: int
     permutation: np.ndarray = None
-    h: np.ndarray = field(default=None, repr=False)
+    h: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -33,15 +33,11 @@ class Topography:
                 f"neighborhood span {2 * self.radius + 1} exceeds lattice side "
                 f"min({self.width}, {self.height})"
             )
-        n = self.n_units
         if self.permutation is None:
-            self.permutation = np.arange(n)
+            self.permutation = np.arange(self.n_units)
         else:
-            self.permutation = np.asarray(self.permutation, dtype=np.intp)
-            if sorted(self.permutation.tolist()) != list(range(n)):
-                raise BadPermutation(f"not a permutation of 0..{n - 1}")
-        if self.h is None:
-            self.h = _neighborhood_matrix(self)
+            self.permutation = check_permutation(self.permutation, self.n_units)
+        self.h = _neighborhood_matrix(self)
 
     @property
     def n_units(self) -> int:
@@ -57,6 +53,14 @@ class Topography:
         grid = np.empty(self.n_units, dtype=np.intp)
         grid[self.permutation] = np.arange(self.n_units)
         return grid.reshape(self.height, self.width)
+
+
+def check_permutation(perm, n: int) -> np.ndarray:
+    """`perm` as an index array; BadPermutation unless it is a 1-D permutation of 0..n-1."""
+    perm = np.asarray(perm, dtype=np.intp)
+    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+        raise BadPermutation(f"not a permutation of 0..{n - 1}")
+    return perm
 
 
 def _torus_deltas(coords: np.ndarray, period: int) -> np.ndarray:
@@ -93,14 +97,11 @@ def shuffle_topography(topo: Topography, seed: int) -> Topography:
 
 def apply_permutation(topo: Topography, perm: np.ndarray) -> Topography:
     """Reassign unit i to the cell previously held by unit perm[i]."""
-    perm = np.asarray(perm, dtype=np.intp)
-    if sorted(perm.tolist()) != list(range(topo.n_units)):
-        raise BadPermutation(f"not a permutation of 0..{topo.n_units - 1}")
     return Topography(
         width=topo.width,
         height=topo.height,
         radius=topo.radius,
-        permutation=topo.permutation[perm],
+        permutation=topo.permutation[check_permutation(perm, topo.n_units)],
     )
 
 

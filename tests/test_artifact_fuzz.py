@@ -118,9 +118,12 @@ def test_image_header(artifacts, mutation):
 @given(mutation=mutations)
 def test_model_meta(artifacts, mutation):
     _, model_dir, originals = artifacts
-    (model_dir / "basis.meta").write_bytes(mutate(originals["basis.meta"], mutation))
-    loads_or_raises_topica_error(read_meta, model_dir / "basis.meta")
-    loads_or_raises_topica_error(load_basis, model_dir)
+    try:
+        (model_dir / "basis.meta").write_bytes(mutate(originals["basis.meta"], mutation))
+        loads_or_raises_topica_error(read_meta, model_dir / "basis.meta")
+        loads_or_raises_topica_error(load_basis, model_dir)
+    finally:
+        (model_dir / "basis.meta").write_bytes(originals["basis.meta"])
 
 
 @pytest.mark.parametrize("name", sorted(TEXT_FILES))

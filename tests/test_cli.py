@@ -517,7 +517,7 @@ class TestAnalyzeCommand:
         assert "0.0000" in (out / "summary.txt").read_text()
 
     @pytest.mark.parametrize("flags, code", [
-        (["--mode", "locality", "--k", "0"], 2),
+        (["--mode", "locality", "--k", "0"], 1),
         (["--mode", "adjacency", "--permutations", "0"], 1),
     ])
     def test_failure_leaves_no_output(self, tmp_path, trace_dir, model_dir, flags, code):
@@ -590,6 +590,85 @@ class TestNegativeSeeds:
         assert proc.returncode == 1
         assert proc.stderr.startswith("topica: error: ") and "Traceback" not in proc.stderr
         assert "seed" in proc.stderr
+        assert not out.exists()
+
+
+class TestOutOfRangeFlags:
+    """A value wrong whatever the inputs is a usage error, found before any file is read;
+    a value wrong only for the given model is a data error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["activate", "--bar", "horizontal", "--resize-width", "0"],
+        ["activate", "--bar", "horizontal", "--bar-frames", "0"],
+        ["activate", "--bar", "horizontal", "--bar-thickness", "0"],
+        ["activate", "--probe", "-1"],
+        ["analyze", "--mode", "locality", "--k", "-2"],
+        ["analyze", "--mode", "locality", "--k", "0"],
+        ["analyze", "--mode", "autocorr", "--max-lag", "0"],
+        ["analyze", "--mode", "adjacency", "--permutations", "0"],
+    ], ids=lambda argv: " ".join(argv[-2:]))
+    def test_exits_1_without_reading_inputs(self, tmp_path, argv):
+        missing = str(tmp_path / "missing")
+        inputs = ["--model", missing] + (["--trace", missing] if argv[0] == "analyze" else [])
+        out = tmp_path / "out"
+        proc = _run_cli(*argv, *inputs, "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("topica: error: ") and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["activate", "--probe", "16"],
+        ["activate", "--bar", "vertical", "--bar-thickness", "6"],
+        ["analyze", "--mode", "locality", "--k", "17"],
+    ], ids=lambda flags: " ".join(flags[-2:]))
+    def test_value_wrong_for_the_model_exits_2(self, tmp_path, model_dir, trace_dir, flags):
+        # The model has 16 units on 5x5 patches.
+        inputs = ["--model", str(model_dir)]
+        if flags[0] == "analyze":
+            inputs += ["--trace", str(trace_dir)]
+        out = tmp_path / "out"
+        assert main(flags + inputs + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+
+class TestTraceChecks:
+    @pytest.mark.parametrize("mode", ["autocorr", "adjacency", "locality"])
+    def test_zero_frame_trace_exits_2(self, tmp_path, trace_dir, model_dir, capsys, mode):
+        trace = tmp_path / "trace"
+        shutil.copytree(trace_dir, trace)
+        write_matrix(trace / "activations.ticm", np.empty((0, 16)))
+        out = tmp_path / "a"
+        assert main(["analyze", "--trace", str(trace), "--model", str(model_dir),
+                     "--mode", mode, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("topica: error: ")
+        assert not out.exists()
+
+    @pytest.fixture
+    def other_model(self, tmp_path, model_dir):
+        """The same lattice, but not the model that computed `trace_dir`."""
+        other = tmp_path / "other"
+        shutil.copytree(model_dir, other)
+        _edit_meta(other / "basis.meta", "epsilon", "0.25")
+        return other
+
+    @pytest.mark.parametrize("mode", ["adjacency", "locality"])
+    def test_trace_of_another_model_exits_2(self, tmp_path, trace_dir, other_model, capsys,
+                                            mode):
+        out = tmp_path / "a"
+        assert main(["analyze", "--trace", str(trace_dir), "--model", str(other_model),
+                     "--mode", mode, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(trace_dir) in err and str(other_model) in err
+        assert not out.exists()
+
+    def test_compared_trace_of_another_model_exits_2(self, tmp_path, trace_dir, model_dir,
+                                                     other_model, capsys):
+        out = tmp_path / "a"
+        assert main(["analyze", "--trace", str(trace_dir), "--model", str(model_dir),
+                     "--mode", "adjacency", "--compare", str(trace_dir),
+                     "--compare-model", str(other_model), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(trace_dir) in err and str(other_model) in err
         assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -81,7 +83,8 @@ def test_kernel_matches_unchunked_reference(rng, rows, lattice):
 def test_radius_zero_skip_matches_identity_pooling(rng):
     # An identity h at radius 1 takes the pooling products; radius 0 skips them.
     flat = build_topography(6, 6, 0)
-    identity = Topography(width=6, height=6, radius=1, h=np.eye(36))
+    identity = Topography(width=6, height=6, radius=1)
+    identity.h = np.eye(36)
     filters = symmetric_orthonormalize(rng.standard_normal((36, 36)))
     batch = rng.standard_normal((CHUNK + 300, 36))
     npt.assert_array_equal(tica_gradient(filters, batch, flat, 0.005),
@@ -286,9 +289,20 @@ class TestPersistence:
         back = load_basis(tmp_path)
         assert len(back.training_log) == len(small_tica.training_log)
         for mine, theirs in zip(small_tica.training_log, back.training_log):
-            assert mine.iteration == theirs.iteration
-            assert mine.objective == theirs.objective
-            assert mine.step == theirs.step
+            assert astuple(mine) == astuple(theirs)
+            assert (np.float64(mine.ortho_error).tobytes()
+                    == np.float64(theirs.ortho_error).tobytes())
+
+    def test_log_header_is_the_record_fields(self, tmp_path, small_tica):
+        save_basis(small_tica, tmp_path)
+        header = (tmp_path / "training_log.csv").read_text().splitlines()[0]
+        assert header == "iteration,objective,step,ortho_error"
+
+    def test_three_column_log_rejected(self, tmp_path, small_tica):
+        save_basis(small_tica, tmp_path)
+        (tmp_path / "training_log.csv").write_text("iter,objective,step\n0,-1.5,0.1\n")
+        with pytest.raises(FormatError, match="training_log.csv"):
+            load_basis(tmp_path)
 
     def test_shuffled_permutation_roundtrip(self, tmp_path, small_tica):
         shuffled = topica.shuffle_topography(small_tica.topo, seed=6)

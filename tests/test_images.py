@@ -270,6 +270,11 @@ class TestDirectories:
         assert back.frames[3].values.max() == 1.0
         assert back.frames[0].values.max() < 0.5
 
+    def test_sequence_scale_is_not_an_option(self, tmp_path):
+        seq = FrameSequence(frames=[ramp(2, 2)], frame_rate=24.0)
+        with pytest.raises(TypeError):
+            save_sequence(seq, tmp_path, lo=0.0)
+
     def test_sequence_default_frame_rate(self, tmp_path):
         write_image(tmp_path / "frame_000000.pgm", GrayImage(np.eye(3)))
         seq = load_sequence(tmp_path)

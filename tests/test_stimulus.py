@@ -23,7 +23,7 @@ class TestBar:
         assert rows[0] == 0 and rows[-1] == 8
 
     def test_frame_contents(self):
-        spec = BarStimulusSpec(patch_side=5, thickness=2, n_frames=4, high=1.0, low=0.0)
+        spec = BarStimulusSpec(patch_side=5, thickness=2, n_frames=4)
         frame = generate_moving_bar(spec).frames[0].values
         expected = np.zeros((5, 5))
         expected[0:2, :] = 1.0
@@ -43,15 +43,14 @@ class TestBar:
         seq = generate_moving_bar(BarStimulusSpec(patch_side=4, n_frames=1))
         assert seq.frames[0].values[0].min() == 1.0
 
-    def test_custom_levels(self):
-        spec = BarStimulusSpec(patch_side=3, n_frames=2, high=0.25, low=-0.5)
-        values = generate_moving_bar(spec).frames[0].values
-        assert set(np.unique(values)) == {-0.5, 0.25}
+    def test_levels_are_not_options(self):
+        with pytest.raises(TypeError):
+            BarStimulusSpec(patch_side=3, high=0.25)
 
     @pytest.mark.parametrize("kwargs", [
         {"patch_side": 0}, {"patch_side": 4, "thickness": 0},
         {"patch_side": 4, "thickness": 5}, {"patch_side": 4, "orientation": "diagonal"},
-        {"patch_side": 4, "n_frames": 0}, {"patch_side": 4, "high": 1.0, "low": 1.0},
+        {"patch_side": 4, "n_frames": 0},
     ])
     def test_bad_specs(self, kwargs):
         with pytest.raises(BadSpec):

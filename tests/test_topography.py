@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topica.activation import ActivationTrace, relabel_trace
 from topica.errors import BadDimensions, BadPermutation
 from topica.topography import (
     Topography,
@@ -128,6 +129,28 @@ def test_bad_permutation_rejected():
         apply_permutation(topo, np.arange(15))
     with pytest.raises(BadPermutation):
         Topography(width=4, height=4, radius=1, permutation=np.arange(1, 17))
+
+
+# Every caller of the one permutation check, each on a 2x2 lattice of 4 units.
+PERMUTATION_CALLERS = {
+    "Topography": lambda perm: Topography(width=2, height=2, radius=0, permutation=perm),
+    "apply_permutation": lambda perm: apply_permutation(build_topography(2, 2, 0), perm),
+    "relabel_trace": lambda perm: relabel_trace(
+        ActivationTrace(np.ones((3, 4)), 24.0, "0" * 64, "0" * 64), perm),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(PERMUTATION_CALLERS))
+@pytest.mark.parametrize("perm", [[0, 1, 2], [0, 1, 1, 3], [[0, 1], [2, 3]]],
+                         ids=["wrong-length", "duplicate", "2-D"])
+def test_every_caller_rejects_a_non_permutation(caller, perm):
+    with pytest.raises(BadPermutation):
+        PERMUTATION_CALLERS[caller](np.array(perm))
+
+
+def test_h_is_derived_not_passed():
+    with pytest.raises(TypeError):
+        Topography(width=3, height=3, radius=1, h=np.eye(9))
 
 
 def test_unit_grid_inverts_cells():
