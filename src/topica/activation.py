@@ -64,13 +64,13 @@ def compute_activation(model: BasisModel, whitening: WhiteningModel,
                        patches: PatchSet,
                        frame_rate: float = DEFAULT_FRAME_RATE) -> ActivationTrace:
     """Filter responses and energies of each patch row, in order."""
-    check_model_pairing(model, whitening)
+    check_model_pairing(model, whitening)    # so whitening's hash is model.whitening_ref
     z = whiten(whitening, patches)
     return ActivationTrace(
         activations=z @ model.filters.T,
         frame_rate=frame_rate,
         model_ref=model.identity_hash(),
-        whitening_ref=whitening.identity_hash(),
+        whitening_ref=model.whitening_ref,
     )
 
 

@@ -28,8 +28,8 @@ from .matrixio import format_float, read_meta
 from .topography import Topography, build_topography, shuffle_topography
 
 HEATMAP_SCALE = 16
-HEATMAP_DIR = "heatmaps"
-RECON_DIR = "recon"
+HEATMAP_FILE = "heatmaps.pgm"
+RECON_FILE = "recon.pgm"
 # Path arguments a command reads; its --out may not be or contain any of them.
 INPUT_ARGS = ("images", "config", "model", "frames", "trace", "compare", "compare_model")
 
@@ -50,7 +50,7 @@ def _int_at_least(lo: int):
     def integer(text: str) -> int:    # argparse names it in "invalid integer value"
         value = int(text)
         if value < lo:
-            raise ConfigError(f"expected an integer >= {lo}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
         return value
     return integer
 
@@ -174,20 +174,25 @@ def _upscale(grid: np.ndarray, scale: int) -> np.ndarray:
     return np.repeat(np.repeat(grid, scale, axis=0), scale, axis=1)
 
 
-def render_energy_heatmaps(trace: act.ActivationTrace, topo: Topography, directory) -> None:
-    """One PGM per frame: unit energies on the lattice, nearest-neighbor
-    upscaled, all frames scaled by the sequence-wide peak energy."""
+def render_energy_heatmaps(trace: act.ActivationTrace, topo: Topography, path) -> None:
+    """A multi-image PGM, one image per frame: unit energies on the lattice,
+    all frames scaled by the sequence-wide peak energy, then nearest-neighbor
+    upscaled (quantizing before upscaling gives the same pixels)."""
     grid_index = topo.unit_grid()
-    frames = (images.GrayImage(_upscale(e[grid_index], HEATMAP_SCALE)) for e in trace.energies)
-    images.write_frames(directory, frames, 0.0, float(trace.energies.max()))
+    hi = float(trace.energies.max())
+    images.write_stack(path, (_upscale(images.quantize(e[grid_index], 0.0, hi), HEATMAP_SCALE)
+                              for e in trace.energies))
 
 
 def render_reconstructions(model: estimation.BasisModel, trace: act.ActivationTrace,
-                           directory) -> None:
+                           path) -> None:
+    """A multi-image PGM of each frame's reconstructed patch, all frames
+    scaled by the sequence-wide range."""
     recon = act.reconstruct(model, trace)
     side = recon.patch_side
-    frames = (images.GrayImage(row.reshape(side, side)) for row in recon.data)
-    images.write_frames(directory, frames, float(recon.data.min()), float(recon.data.max()))
+    lo, hi = float(recon.data.min()), float(recon.data.max())
+    images.write_stack(path, (images.quantize(row, lo, hi).reshape(side, side)
+                              for row in recon.data))
 
 
 def cmd_activate(args, out) -> int:
@@ -218,8 +223,8 @@ def cmd_activate(args, out) -> int:
     frame_rate = args.frame_rate if args.frame_rate is not None else source_rate
     trace = act.compute_activation(model, model_w, patches, frame_rate)
     act.save_trace(trace, out)
-    render_energy_heatmaps(trace, model.topo, os.path.join(out, HEATMAP_DIR))
-    render_reconstructions(model, trace, os.path.join(out, RECON_DIR))
+    render_energy_heatmaps(trace, model.topo, os.path.join(out, HEATMAP_FILE))
+    render_reconstructions(model, trace, os.path.join(out, RECON_FILE))
     print(f"activated {trace.n_frames} frames x {trace.n_units} units")
     return 0
 
@@ -315,11 +320,11 @@ def render_montage(model: estimation.BasisModel) -> images.GrayImage:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse reports usage problems at exit code 2; this tool uses 1."""
+    """argparse prints the usage, then the message, and exits 2; this tool
+    exits 1 and puts the message first, so stderr starts `topica: error:`."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        raise ConfigError(message)
+        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,8 +1,9 @@
 """Grayscale images, frame sequences, and patch extraction.
 
 Images are kept as float64 matrices in (height, width) layout. On disk
-the package speaks binary PGM (P5, 8-bit); color PPM (P6) input is
-converted to grayscale with the 0.299/0.587/0.114 luminance weights.
+the package speaks binary PGM (P5, 8-bit), writing frame stacks as one
+multi-image PGM file; color PPM (P6) input is converted to grayscale
+with the 0.299/0.587/0.114 luminance weights.
 Patches are flattened row-major and carry their own DC (per-patch mean)
 removal flag.
 """
@@ -272,6 +273,27 @@ def read_image(path) -> GrayImage:
     return GrayImage(raw.reshape(height, width))
 
 
+def quantize(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """8-bit pixels mapping [lo, hi] linearly onto 0..255, clipped outside;
+    hi <= lo maps everything to 0.
+
+    Bounds taken as the data's own min/max are finite only if every value
+    is, so checking them checks the data.
+    """
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise DataError(f"pixel range [{lo}, {hi}] is not finite")
+    if hi <= lo:
+        return np.zeros(np.shape(values), dtype=np.uint8)
+    scaled = (values - lo) / (hi - lo) * 255.0
+    return np.clip(np.rint(scaled), 0, 255).astype(np.uint8)
+
+
+def pgm_bytes(pixels: np.ndarray) -> bytes:
+    """One binary 8-bit PGM image (header and samples) of a 2-D uint8 array."""
+    height, width = pixels.shape
+    return f"P5\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes(order="C")
+
+
 def write_image(path, img: GrayImage, lo: float | None = None, hi: float | None = None) -> None:
     """Write a binary 8-bit PGM, mapping [lo, hi] linearly onto 0..255.
 
@@ -283,14 +305,20 @@ def write_image(path, img: GrayImage, lo: float | None = None, hi: float | None 
         lo = float(values.min())
     if hi is None:
         hi = float(values.max())
-    if hi > lo:
-        scaled = (values - lo) / (hi - lo) * 255.0
-    else:
-        scaled = np.zeros_like(values)
-    pixels = np.clip(np.rint(scaled), 0, 255).astype(np.uint8)
     with open(path, "wb") as f:
-        f.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
-        f.write(pixels.tobytes(order="C"))
+        f.write(pgm_bytes(quantize(values, lo, hi)))
+
+
+def write_stack(path, frames) -> None:
+    """Write 2-D uint8 frames, in order, as one multi-image PGM file.
+
+    Netpbm defines a PGM file as a sequence of one or more PGM images
+    with nothing between them, so the file is the concatenation of the
+    frames' single-image PGMs.
+    """
+    with open(path, "wb") as f:
+        for pixels in frames:
+            f.write(pgm_bytes(pixels))
 
 
 def load_images(directory) -> list:
@@ -319,17 +347,13 @@ def load_sequence(directory) -> FrameSequence:
     return FrameSequence(frames, frame_rate)
 
 
-def write_frames(directory, frames, lo: float, hi: float) -> None:
-    """Create `directory` and write the frames (GrayImages) to it in order as
-    frame_NNNNNN.pgm, all mapping [lo, hi] onto 0..255."""
-    os.makedirs(directory, exist_ok=True)
-    for t, frame in enumerate(frames):
-        write_image(os.path.join(directory, FRAME_NAME_FORMAT.format(t)), frame, lo, hi)
-
-
 def save_sequence(seq: FrameSequence, directory) -> None:
-    """Write frames as numbered PGMs on the sequence's own intensity range."""
-    write_frames(directory, seq.frames, min(float(f.values.min()) for f in seq.frames),
-                 max(float(f.values.max()) for f in seq.frames))
+    """Write frames as frame_NNNNNN.pgm plus sequence.meta, every frame
+    mapped from the sequence's own intensity range."""
+    lo = min(float(f.values.min()) for f in seq.frames)
+    hi = max(float(f.values.max()) for f in seq.frames)
+    os.makedirs(directory, exist_ok=True)
+    for t, frame in enumerate(seq.frames):
+        write_image(os.path.join(directory, FRAME_NAME_FORMAT.format(t)), frame, lo, hi)
     with open(os.path.join(directory, SEQUENCE_META_NAME), "w", encoding="ascii") as f:
         f.write(f"frame_rate={format_float(seq.frame_rate)}\n")

@@ -172,6 +172,23 @@ class TestPermutationTest:
         y = permutation_test(a, b, n_permutations=100, seed=4)
         assert x.p_value == y.p_value
 
+    @pytest.mark.parametrize("sizes, n_permutations", [
+        ((1, 1), 7), ((3, 9), 1024), ((40, 35), 1025), ((112, 112), 2049),
+    ])
+    def test_blocks_match_one_draw_at_a_time(self, rng, sizes, n_permutations):
+        a = rng.standard_normal(sizes[0]) + 0.2
+        b = rng.standard_normal(sizes[1])
+        pooled = np.concatenate([a, b])
+        observed = abs(a.mean() - b.mean())
+        draws = np.random.default_rng(5)
+        count = 0
+        for _ in range(n_permutations):
+            order = draws.permutation(pooled.size)
+            diff = abs(pooled[order[:a.size]].mean() - pooled[order[a.size:]].mean())
+            count += diff >= observed - 1e-12
+        result = permutation_test(a, b, n_permutations=n_permutations, seed=5)
+        assert result.p_value == (1 + count) / (1 + n_permutations)
+
 
 class TestClusterLocality:
     def test_three_by_three_block_oracle(self):

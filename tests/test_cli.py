@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import topica
-from topica.cli import RunConfig, build_parser, load_run_config, main, parse_crop
+from topica.cli import (RunConfig, build_parser, load_run_config, main, parse_crop,
+                        render_energy_heatmaps)
 from topica.errors import ConfigError
 from topica.images import GrayImage, read_image, write_image
 from topica.matrixio import read_matrix, read_meta, write_matrix
+from topica.topography import build_topography
 
 
 @pytest.fixture(scope="module")
@@ -370,20 +372,90 @@ class TestModelShapes:
         assert not out.exists()
 
 
+def _read_stack(path) -> list:
+    """The images of a multi-image PGM as uint8 arrays, walked header by header."""
+    data = path.read_bytes()
+    frames, pos = [], 0
+    while pos < len(data):
+        end = pos
+        for _ in range(3):    # magic, dimensions, maxval lines
+            end = data.index(b"\n", end) + 1
+        magic, width, height, maxval = data[pos:end].split()
+        assert (magic, maxval) == (b"P5", b"255")
+        width, height = int(width), int(height)
+        frames.append(np.frombuffer(data, np.uint8, width * height, end).reshape(height, width))
+        pos = end + width * height
+    return frames
+
+
+def _concatenated_images(tmp_path, frames, lo, hi) -> bytes:
+    """The bytes of each frame written alone by `write_image`, in order."""
+    path = tmp_path / "one.pgm"
+    parts = []
+    for values in frames:
+        write_image(path, GrayImage(values), lo, hi)
+        parts.append(path.read_bytes())
+    return b"".join(parts)
+
+
+def _upscaled(grid):
+    return np.repeat(np.repeat(grid, 16, axis=0), 16, axis=1)
+
+
+TRACE_FILES = ["activations.ticm", "energies.ticm", "heatmaps.pgm", "recon.pgm", "trace.meta"]
+
+
 class TestActivateCommand:
     def test_frames_activation_outputs(self, trace_dir):
         trace = topica.load_trace(trace_dir)
         assert trace.n_frames == 40
         assert trace.n_units == 16
-        heatmaps = sorted(os.listdir(trace_dir / "heatmaps"))
-        assert len(heatmaps) == 40
-        assert heatmaps[0] == "frame_000000.pgm"
-        recon = read_image(trace_dir / "recon" / "frame_000000.pgm")
-        assert (recon.width, recon.height) == (5, 5)
+        assert len(_read_stack(trace_dir / "heatmaps.pgm")) == 40
+        recon = _read_stack(trace_dir / "recon.pgm")
+        assert len(recon) == 40
+        assert recon[0].shape == (5, 5)
+
+    @pytest.mark.parametrize("source", ["frames", "bar", "probe"])
+    def test_stacks_are_the_per_frame_images_in_order(self, tmp_path, model_dir, trace_dir,
+                                                      source):
+        if source == "frames":
+            out = trace_dir
+        else:
+            out = tmp_path / source
+            flags = ["--bar", "vertical"] if source == "bar" else ["--probe", "3"]
+            assert main(["activate", "--model", str(model_dir), *flags, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == TRACE_FILES    # no heatmaps/ or recon/ directory
+        trace = topica.load_trace(out)
+        model = topica.load_basis(model_dir)
+        energies = trace.energies
+        heatmaps = [_upscaled(e[model.topo.unit_grid()]) for e in energies]
+        assert (out / "heatmaps.pgm").read_bytes() == _concatenated_images(
+            tmp_path, heatmaps, 0.0, float(energies.max()))
+        recon = topica.reconstruct(model, trace).data
+        assert (out / "recon.pgm").read_bytes() == _concatenated_images(
+            tmp_path, [row.reshape(5, 5) for row in recon], float(recon.min()), float(recon.max()))
+
+    @pytest.mark.parametrize("activations", [
+        [[0.0, 1.0, -2.0, 0.5], [2.0, -0.25, 0.0, 1.5], [-1e-3, 0.75, 1.25, -0.5]],
+        np.zeros((3, 4)),
+    ], ids=["saturating", "all-zero"])
+    def test_quantizing_before_upscaling_changes_no_pixel(self, tmp_path, activations):
+        trace = topica.ActivationTrace(np.asarray(activations), 24.0, "m", "w")
+        topo = build_topography(2, 2, 0)
+        path = tmp_path / "heatmaps.pgm"
+        render_energy_heatmaps(trace, topo, path)
+        hi = float(trace.energies.max())
+        frames = [_upscaled(e[topo.unit_grid()]) for e in trace.energies]
+        assert path.read_bytes() == _concatenated_images(tmp_path, frames, 0.0, hi)
+        stack = _read_stack(path)
+        if hi > 0:    # the frames holding +-2 reach exactly hi
+            assert [frame.max() for frame in stack] == [255, 255, 100]
+        else:
+            assert not any(frame.any() for frame in stack)
 
     def test_heatmap_geometry(self, trace_dir):
-        heatmap = read_image(trace_dir / "heatmaps" / "frame_000000.pgm")
-        assert (heatmap.width, heatmap.height) == (64, 64)   # 4x4 map, x16
+        heatmap = _read_stack(trace_dir / "heatmaps.pgm")[0]
+        assert heatmap.shape == (64, 64)   # 4x4 map, x16
 
     def test_probe_lights_single_cell(self, tmp_path, model_dir):
         out = tmp_path / "probe"
@@ -392,21 +464,23 @@ class TestActivateCommand:
         trace = topica.load_trace(out)
         assert trace.n_frames == 1
         assert np.argmax(np.abs(trace.activations[0])) == 5
-        heatmap = read_image(out / "heatmaps" / "frame_000000.pgm")
+        heatmaps = _read_stack(out / "heatmaps.pgm")
+        assert len(heatmaps) == 1
+        heatmap = heatmaps[0] / 255.0
         model = topica.load_basis(model_dir)
         x, y = model.topo.cells()[5]
-        block = heatmap.values[y * 16:(y + 1) * 16, x * 16:(x + 1) * 16]
+        block = heatmap[y * 16:(y + 1) * 16, x * 16:(x + 1) * 16]
         assert block.min() == 1.0    # the probed cell saturates
         mask = np.ones((4, 4), dtype=bool)
         mask[y, x] = False
-        others = heatmap.values.reshape(4, 16, 4, 16).max(axis=(1, 3))[mask]
+        others = heatmap.reshape(4, 16, 4, 16).max(axis=(1, 3))[mask]
         assert others.max() < 0.05
 
     def test_bar_produces_one_heatmap_per_frame(self, tmp_path, model_dir):
         out = tmp_path / "bar"
         assert main(["activate", "--model", str(model_dir), "--bar", "horizontal",
                      "--bar-frames", "7", "--out", str(out)]) == 0
-        assert len(os.listdir(out / "heatmaps")) == 7
+        assert len(_read_stack(out / "heatmaps.pgm")) == 7
         assert topica.load_trace(out).n_frames == 7
 
     def test_origin_and_mismatch_errors(self, tmp_path, model_dir, frames_dir):
@@ -460,8 +534,8 @@ class TestActivateCommand:
         for frames in ("16", "8"):
             assert main(["activate", "--model", str(model_dir), "--bar", "horizontal",
                          "--bar-frames", frames, "--out", str(out)]) == 0
-        assert len(os.listdir(out / "heatmaps")) == 8
-        assert len(os.listdir(out / "recon")) == 8
+        assert len(_read_stack(out / "heatmaps.pgm")) == 8
+        assert len(_read_stack(out / "recon.pgm")) == 8
         assert topica.load_trace(out).n_frames == 8
         assert os.listdir(tmp_path) == ["bar"]
 
@@ -469,12 +543,12 @@ class TestActivateCommand:
         out = tmp_path / "bar"
         assert main(["activate", "--model", str(model_dir), "--bar", "horizontal",
                      "--bar-frames", "16", "--out", str(out)]) == 0
-        before = sorted(os.listdir(out / "heatmaps"))
+        before = (out / "heatmaps.pgm").read_bytes()
         empty = tmp_path / "frames"
         empty.mkdir()
         assert main(["activate", "--model", str(model_dir), "--frames", str(empty),
                      "--out", str(out)]) == 2
-        assert sorted(os.listdir(out / "heatmaps")) == before
+        assert (out / "heatmaps.pgm").read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["bar", "frames"]
 
     def test_out_containing_an_input_is_refused(self, tmp_path, model_dir):
@@ -606,6 +680,7 @@ class TestOutOfRangeFlags:
         ["analyze", "--mode", "locality", "--k", "0"],
         ["analyze", "--mode", "autocorr", "--max-lag", "0"],
         ["analyze", "--mode", "adjacency", "--permutations", "0"],
+        ["analyze", "--mode", "locality", "--k", "abc"],
     ], ids=lambda argv: " ".join(argv[-2:]))
     def test_exits_1_without_reading_inputs(self, tmp_path, argv):
         missing = str(tmp_path / "missing")
@@ -614,6 +689,7 @@ class TestOutOfRangeFlags:
         proc = _run_cli(*argv, *inputs, "--out", str(out))
         assert proc.returncode == 1
         assert proc.stderr.startswith("topica: error: ") and "Traceback" not in proc.stderr
+        assert f"argument {argv[-2]}: " in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [

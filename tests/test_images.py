@@ -20,11 +20,14 @@ from topica.images import (
     load_images,
     load_sequence,
     normalize_image,
+    pgm_bytes,
+    quantize,
     read_image,
     resize_to_width,
     save_sequence,
     to_grayscale,
     write_image,
+    write_stack,
 )
 
 
@@ -195,6 +198,18 @@ class TestPnmIO:
         path = tmp_path / "c.pgm"
         write_image(path, GrayImage(np.full((2, 2), 3.0)))
         npt.assert_array_equal(read_image(path).values, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.inf)])
+    def test_non_finite_range_rejected(self, lo, hi):
+        with pytest.raises(DataError):
+            quantize(np.zeros(3), lo, hi)
+
+    def test_stack_is_its_images_in_order(self, tmp_path):
+        path = tmp_path / "s.pgm"
+        frames = [np.full((2, 3), v, dtype=np.uint8) for v in (0, 128, 255)]
+        write_stack(path, frames)
+        assert path.read_bytes() == b"".join(pgm_bytes(f) for f in frames)
+        npt.assert_array_equal(read_image(path).values, np.zeros((2, 3)))   # the first
 
     def test_ppm_luminance(self, tmp_path):
         path = tmp_path / "x.ppm"
