@@ -9,7 +9,7 @@ as per-unit time series.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,8 +38,7 @@ META_FILE = "trace.meta"
 class ActivationTrace:
     activations: np.ndarray      # (n_frames, n_units)
     frame_rate: float
-    model_ref: str
-    whitening_ref: str
+    model_ref: str               # BasisModel.identity_hash(), which commits to the whitening
     energies: np.ndarray = field(init=False, repr=False)   # activations squared, elementwise
 
     def __post_init__(self):
@@ -63,14 +62,14 @@ class ActivationTrace:
 def compute_activation(model: BasisModel, whitening: WhiteningModel,
                        patches: PatchSet,
                        frame_rate: float = DEFAULT_FRAME_RATE) -> ActivationTrace:
-    """Filter responses and energies of each patch row, in order."""
-    check_model_pairing(model, whitening)    # so whitening's hash is model.whitening_ref
+    """Filter responses and energies of each patch row, in order, after
+    checking that `model` was trained with `whitening`."""
+    check_model_pairing(model, whitening)
     z = whiten(whitening, patches)
     return ActivationTrace(
         activations=z @ model.filters.T,
         frame_rate=frame_rate,
         model_ref=model.identity_hash(),
-        whitening_ref=model.whitening_ref,
     )
 
 
@@ -90,23 +89,13 @@ def shuffle_frames(trace: ActivationTrace, seed: int) -> ActivationTrace:
     """Seeded random permutation of the frame axis (temporal control)."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(trace.n_frames)
-    return ActivationTrace(
-        activations=trace.activations[order],
-        frame_rate=trace.frame_rate,
-        model_ref=trace.model_ref,
-        whitening_ref=trace.whitening_ref,
-    )
+    return replace(trace, activations=trace.activations[order])
 
 
 def relabel_trace(trace: ActivationTrace, permutation: np.ndarray) -> ActivationTrace:
     """Reorder unit columns: new column i is old column permutation[i]."""
     perm = check_permutation(permutation, trace.n_units)
-    return ActivationTrace(
-        activations=trace.activations[:, perm],
-        frame_rate=trace.frame_rate,
-        model_ref=trace.model_ref,
-        whitening_ref=trace.whitening_ref,
-    )
+    return replace(trace, activations=trace.activations[:, perm])
 
 
 def save_trace(trace: ActivationTrace, directory) -> None:
@@ -118,18 +107,18 @@ def save_trace(trace: ActivationTrace, directory) -> None:
         "format_version": 1,
         "frame_rate": format_float(trace.frame_rate),
         "model_ref": trace.model_ref,
-        "whitening_ref": trace.whitening_ref,
     })
 
 
 def load_trace(directory) -> ActivationTrace:
+    """Read a trace; keys that `save_trace` does not write, such as the
+    `whitening_ref` of older traces, are ignored."""
     meta_path = os.path.join(directory, META_FILE)
     meta = read_meta(meta_path)
     return ActivationTrace(
         activations=read_matrix(os.path.join(directory, ACTIVATIONS_FILE)),
         frame_rate=meta_positive_float(meta, "frame_rate", meta_path),
         model_ref=meta_str(meta, "model_ref", meta_path),
-        whitening_ref=meta_str(meta, "whitening_ref", meta_path),
     )
 
 

@@ -55,11 +55,27 @@ def _int_at_least(lo: int):
     return integer
 
 
-def _parse_frame_rate(text: str) -> float:
-    value = float(text)
+def _positive_float(text: str) -> float:
+    """argparse type of a finite float flag above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
     if not (np.isfinite(value) and value > 0):
-        raise ConfigError(f"frame rate must be finite and > 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
     return value
+
+
+def _flag_type(parse):
+    """argparse type of `parse`, whose ConfigError becomes argparse's own
+    error, so that the message names the flag."""
+    def flag_type(text: str):
+        try:
+            return parse(text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    flag_type.__name__ = parse.__name__    # argparse names it in "invalid int value"
+    return flag_type
 
 
 def parse_crop(text: str) -> tuple:
@@ -117,7 +133,7 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
                 raise ConfigError(f"{path}: unknown config key {key!r}")
             try:
                 setattr(config, key, _FIELD_PARSERS[key](raw))
-            except ValueError:
+            except (ValueError, ConfigError):
                 raise ConfigError(f"{path}: bad value for {key}: {raw!r}") from None
     for key, value in (overrides or {}).items():
         if value is not None:
@@ -142,13 +158,6 @@ def cmd_train(args, out) -> int:
           f"{model_b.iterations} iterations, "
           f"final objective {format_float(last.objective)}")
     return 0
-
-
-def _load_model_dir(directory):
-    model = estimation.load_basis(directory)
-    model_w = whit.load_whitening(directory)
-    estimation.check_model_pairing(model, model_w)
-    return model, model_w
 
 
 def _centered_origin(seq: images.FrameSequence, patch_side: int) -> tuple:
@@ -196,31 +205,27 @@ def render_reconstructions(model: estimation.BasisModel, trace: act.ActivationTr
 
 
 def cmd_activate(args, out) -> int:
-    model, model_w = _load_model_dir(args.model)
+    model = estimation.load_basis(args.model)
+    model_w = whit.load_whitening(args.model)
+    origin = (0, 0)
     if args.frames is not None:
         seq = images.load_sequence(args.frames)
         seq = images.FrameSequence(_prepare_frames(seq.frames, args.crop, args.resize_width),
                                    seq.frame_rate)
-        source_rate = seq.frame_rate
         if args.origin is not None:
             left, top = args.origin
             origin = (top, left)
         else:
             origin = _centered_origin(seq, model.patch_side)
-        patches = images.extract_fixed_patches(seq, origin, model.patch_side)
     elif args.bar is not None:
         spec = stimulus.BarStimulusSpec(
             patch_side=model.patch_side, thickness=args.bar_thickness,
             orientation=args.bar, n_frames=args.bar_frames)
         seq = stimulus.generate_moving_bar(spec)
-        patches = images.extract_fixed_patches(seq, (0, 0), model.patch_side)
-        source_rate = seq.frame_rate
     else:
-        probe = stimulus.generate_single_basis_probe(model, args.probe)
-        patches = images.PatchSet(probe.values.reshape(1, -1), model.patch_side,
-                                  per_patch_mean_removed=True)
-        source_rate = images.DEFAULT_FRAME_RATE
-    frame_rate = args.frame_rate if args.frame_rate is not None else source_rate
+        seq = images.FrameSequence([stimulus.generate_single_basis_probe(model, args.probe)])
+    patches = images.extract_fixed_patches(seq, origin, model.patch_side)
+    frame_rate = args.frame_rate if args.frame_rate is not None else seq.frame_rate
     trace = act.compute_activation(model, model_w, patches, frame_rate)
     act.save_trace(trace, out)
     render_energy_heatmaps(trace, model.topo, os.path.join(out, HEATMAP_FILE))
@@ -339,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", help="key = value config file")
     for f in fields(RunConfig):
         p_train.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                             type=_FIELD_PARSERS[f.name], help=f.metadata.get("help"))
+                             type=_flag_type(_FIELD_PARSERS[f.name]), help=f.metadata.get("help"))
     p_train.set_defaults(func=cmd_train)
 
     p_act = sub.add_parser("activate", help="run a model over frames, a bar, or a probe")
@@ -351,12 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="synthetic moving-bar stimulus")
     source.add_argument("--probe", type=_int_at_least(0), metavar="UNIT",
                         help="single-basis probe patch for one unit")
-    p_act.add_argument("--origin", type=lambda text: _parse_ints(text, "origin", "left,top"),
+    p_act.add_argument("--origin",
+                       type=_flag_type(lambda text: _parse_ints(text, "origin", "left,top")),
                        help="top-left patch corner as left,top (default: frame center)")
-    p_act.add_argument("--crop", type=parse_crop,
+    p_act.add_argument("--crop", type=_flag_type(parse_crop),
                        help="left,top,width,height applied to every frame")
     p_act.add_argument("--resize-width", dest="resize_width", type=_int_at_least(1))
-    p_act.add_argument("--frame-rate", dest="frame_rate", type=_parse_frame_rate)
+    p_act.add_argument("--frame-rate", dest="frame_rate", type=_positive_float)
     p_act.add_argument("--bar-frames", dest="bar_frames", type=_int_at_least(1), default=16)
     p_act.add_argument("--bar-thickness", dest="bar_thickness", type=_int_at_least(1), default=1)
     p_act.set_defaults(func=cmd_activate)

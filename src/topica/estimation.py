@@ -405,6 +405,9 @@ def load_basis(directory) -> BasisModel:
     if basis.shape[1] != filters.shape[0]:
         raise FormatError(f"{os.path.join(directory, BASIS_FILE)}: {basis.shape[1]} basis "
                           f"columns for {filters.shape[0]} filters")
+    if int(np.sqrt(basis.shape[0])) ** 2 != basis.shape[0]:
+        raise FormatError(f"{os.path.join(directory, BASIS_FILE)}: {basis.shape[0]} basis "
+                          f"rows are not a square patch")
     log_path = os.path.join(directory, LOG_FILE)
     log = _read_log(log_path) if os.path.exists(log_path) else []
     model = BasisModel(

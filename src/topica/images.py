@@ -24,7 +24,7 @@ from .errors import (
     OutOfBounds,
     PatchTooLarge,
 )
-from .matrixio import format_float, meta_positive_float, read_meta, read_payload
+from .matrixio import format_float, meta_positive_float, read_meta, read_payload, write_meta
 
 LUMINANCE_WEIGHTS = (0.299, 0.587, 0.114)
 DEFAULT_FRAME_RATE = 24.0
@@ -355,5 +355,5 @@ def save_sequence(seq: FrameSequence, directory) -> None:
     os.makedirs(directory, exist_ok=True)
     for t, frame in enumerate(seq.frames):
         write_image(os.path.join(directory, FRAME_NAME_FORMAT.format(t)), frame, lo, hi)
-    with open(os.path.join(directory, SEQUENCE_META_NAME), "w", encoding="ascii") as f:
-        f.write(f"frame_rate={format_float(seq.frame_rate)}\n")
+    write_meta(os.path.join(directory, SEQUENCE_META_NAME),
+               {"frame_rate": format_float(seq.frame_rate)})

@@ -40,7 +40,6 @@ def test_energies_are_squared_activations(trace):
 
 def test_model_refs_recorded(trace, small_tica, small_whitening):
     assert trace.model_ref == small_tica.identity_hash()
-    assert trace.whitening_ref == small_whitening.identity_hash()
 
 
 def test_mismatched_whitening_rejected(small_tica, small_patches):
@@ -90,14 +89,13 @@ def test_relabel_rejects_non_permutation(trace):
 
 def test_trace_shape_validation():
     with pytest.raises(DimensionMismatch):
-        ActivationTrace(activations=np.zeros(4), frame_rate=24.0, model_ref="m",
-                        whitening_ref="w")
+        ActivationTrace(activations=np.zeros(4), frame_rate=24.0, model_ref="m")
 
 
 def test_energies_are_derived_not_passed():
     with pytest.raises(TypeError):
         ActivationTrace(activations=np.ones((2, 3)), energies=np.ones((2, 3)),
-                        frame_rate=24.0, model_ref="m", whitening_ref="w")
+                        frame_rate=24.0, model_ref="m")
 
 
 def test_load_derives_energies_and_save_still_writes_them(tmp_path, trace):
@@ -114,7 +112,6 @@ def test_save_load_roundtrip(tmp_path, trace):
     npt.assert_array_equal(back.energies, trace.energies)
     assert back.frame_rate == trace.frame_rate
     assert back.model_ref == trace.model_ref
-    assert back.whitening_ref == trace.whitening_ref
 
 
 def test_csv_export(tmp_path, trace):

@@ -19,8 +19,7 @@ from topica.topography import build_topography, shuffle_topography
 
 def make_trace(activations, frame_rate=24.0):
     activations = np.asarray(activations, dtype=np.float64)
-    return ActivationTrace(activations=activations, frame_rate=frame_rate,
-                           model_ref="m", whitening_ref="w")
+    return ActivationTrace(activations=activations, frame_rate=frame_rate, model_ref="m")
 
 
 def reference_lag_corr(series, lag):

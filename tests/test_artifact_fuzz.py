@@ -78,7 +78,7 @@ def artifacts(tmp_path_factory):
                           epsilon=0.005, seed=1, training_log=log), trained)
     save_whitening(WhiteningModel(np.eye(4), np.eye(4), np.sort(rng.random(4))[::-1] + 0.1),
                    trained)
-    save_trace(ActivationTrace(rng.standard_normal((3, 4)), 24.0, "0" * 64, "0" * 64),
+    save_trace(ActivationTrace(rng.standard_normal((3, 4)), 24.0, "0" * 64),
                root / "trace")
     save_sequence(FrameSequence([GrayImage(rng.random((4, 4))) for _ in range(2)], 12.5),
                   root / "frames")

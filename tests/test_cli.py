@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -13,8 +14,8 @@ import topica
 from topica.cli import (RunConfig, build_parser, load_run_config, main, parse_crop,
                         render_energy_heatmaps)
 from topica.errors import ConfigError
-from topica.images import GrayImage, read_image, write_image
-from topica.matrixio import read_matrix, read_meta, write_matrix
+from topica.images import FrameSequence, GrayImage, extract_fixed_patches, read_image, write_image
+from topica.matrixio import content_hash, read_matrix, read_meta, write_matrix
 from topica.topography import build_topography
 
 
@@ -85,6 +86,17 @@ class TestRunConfig:
         path.write_text("patch_side = six\n")
         with pytest.raises(ConfigError):
             load_run_config(path)
+
+    def test_bad_crop_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "run.conf"
+        path.write_text("crop = 1,2\n")
+        with pytest.raises(ConfigError, match="run.conf: bad value for crop"):
+            load_run_config(path)
+        out = tmp_path / "m"
+        assert main(["train", "--images", str(tmp_path), "--out", str(out),
+                     "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"topica: error: {path}: ")
+        assert not out.exists()
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "run.conf"
@@ -346,6 +358,17 @@ class TestOversizedHeaders:
         assert not out.exists()
 
 
+FRAMES = "<frames>"     # replaced by the frames directory
+ACTIVATE_SOURCES = [["activate", "--frames", FRAMES], ["activate", "--bar", "vertical"],
+                    ["activate", "--probe", "3"]]
+
+
+def _model_argv(command, model, frames_dir, out) -> list:
+    """`command` run on `model` into `out`, with FRAMES replaced by `frames_dir`."""
+    return ([str(frames_dir) if arg == FRAMES else arg for arg in command]
+            + ["--model", str(model), "--out", str(out)])
+
+
 def _cut_columns(path, cols):
     write_matrix(path, read_matrix(path)[:, :cols])
 
@@ -358,6 +381,29 @@ class TestModelShapes:
         _cut_columns(model / "basis_matrix.ticm", 10)
         out = tmp_path / "out"
         assert main(command + ["--model", str(model), "--out", str(out)]) == 2
+        _assert_data_error_naming(capsys, "basis_matrix.ticm")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["render"], *ACTIVATE_SOURCES],
+                             ids=lambda argv: argv[-2] if len(argv) > 1 else argv[0])
+    def test_basis_cut_to_ten_rows(self, tmp_path, model_dir, frames_dir, capsys, command):
+        model = tmp_path / "model"
+        shutil.copytree(model_dir, model)
+        write_matrix(model / "basis_matrix.ticm", read_matrix(model / "basis_matrix.ticm")[:10])
+        out = tmp_path / "out"
+        assert main(_model_argv(command, model, frames_dir, out)) == 2
+        _assert_data_error_naming(capsys, "basis_matrix.ticm")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ACTIVATE_SOURCES, ids=lambda argv: argv[1])
+    def test_square_basis_for_another_patch_size(self, tmp_path, model_dir, frames_dir,
+                                                 capsys, source):
+        # 16 rows make 4x4 patches, but the whitening has 25 pixels.
+        model = tmp_path / "model"
+        shutil.copytree(model_dir, model)
+        write_matrix(model / "basis_matrix.ticm", read_matrix(model / "basis_matrix.ticm")[:16])
+        out = tmp_path / "out"
+        assert main(_model_argv(source, model, frames_dir, out)) == 2
         _assert_data_error_naming(capsys, "basis_matrix.ticm")
         assert not out.exists()
 
@@ -440,7 +486,7 @@ class TestActivateCommand:
         np.zeros((3, 4)),
     ], ids=["saturating", "all-zero"])
     def test_quantizing_before_upscaling_changes_no_pixel(self, tmp_path, activations):
-        trace = topica.ActivationTrace(np.asarray(activations), 24.0, "m", "w")
+        trace = topica.ActivationTrace(np.asarray(activations), 24.0, "m")
         topo = build_topography(2, 2, 0)
         path = tmp_path / "heatmaps.pgm"
         render_energy_heatmaps(trace, topo, path)
@@ -528,6 +574,52 @@ class TestActivateCommand:
         assert proc.returncode == 1
         assert proc.stderr.startswith("topica: error: ") and "Traceback" not in proc.stderr
         assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("source", ACTIVATE_SOURCES, ids=lambda argv: argv[1])
+    def test_hashes_whitening_once_and_basis_twice(self, tmp_path, model_dir, frames_dir,
+                                                   monkeypatch, source):
+        # The basis is hashed for the trace's model_ref and again by `reconstruct`.
+        tags = []
+
+        def counting_hash(tag, *parts):
+            tags.append(tag)
+            return content_hash(tag, *parts)
+
+        monkeypatch.setattr(topica.estimation, "content_hash", counting_hash)
+        monkeypatch.setattr(topica.whitening, "content_hash", counting_hash)
+        assert main(_model_argv(source, model_dir, frames_dir, tmp_path / "t")) == 0
+        assert sorted(tags) == ["topica-basis-v1", "topica-basis-v1", "topica-whitening-v1"]
+
+    def test_trace_meta_keys(self, trace_dir):
+        assert list(read_meta(trace_dir / "trace.meta")) == ["format_version", "frame_rate",
+                                                             "model_ref"]
+
+    @pytest.mark.parametrize("source", ACTIVATE_SOURCES, ids=lambda argv: argv[1])
+    def test_whitening_of_another_training_exits_2(self, tmp_path, model_dir, frames_dir,
+                                                   image_dir, source):
+        other = tmp_path / "other"
+        assert main(["train", "--images", str(image_dir), "--out", str(other),
+                     "--max-iters", "1", "--n-patches", "1500"] + TRAIN_FLAGS[:-4]) == 0
+        model = tmp_path / "model"
+        shutil.copytree(model_dir, model)
+        for name in ("whitening_matrix.ticm", "dewhitening_matrix.ticm", "whitening.meta"):
+            shutil.copy(other / name, model / name)
+        out = tmp_path / "t"
+        proc = _run_cli(*_model_argv(source, model, frames_dir, out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("topica: error: ") and "Traceback" not in proc.stderr
+        assert "different whitening" in proc.stderr
+        assert not out.exists()
+
+    def test_probe_is_extracted_like_every_source(self, tmp_path, model_dir):
+        out = tmp_path / "probe"
+        assert main(["activate", "--model", str(model_dir), "--probe", "3",
+                     "--out", str(out)]) == 0
+        model = topica.load_basis(model_dir)
+        seq = FrameSequence([topica.generate_single_basis_probe(model, 3)])
+        patches = extract_fixed_patches(seq, (0, 0), model.patch_side)
+        expected = topica.compute_activation(model, topica.load_whitening(model_dir), patches)
+        np.testing.assert_array_equal(topica.load_trace(out).activations, expected.activations)
 
     def test_rerun_replaces_existing_out(self, tmp_path, model_dir):
         out = tmp_path / "bar"
@@ -632,6 +724,20 @@ class TestAnalyzeCommand:
             summaries.append((out / "summary.txt").read_text())
         assert summaries[0] == summaries[1]
 
+    def test_trace_with_whitening_ref_still_loads(self, tmp_path, trace_dir, model_dir):
+        # Traces written before model_ref alone identified the model also held whitening_ref.
+        trace = tmp_path / "trace"
+        shutil.copytree(trace_dir, trace)
+        _edit_meta(trace / "trace.meta", "whitening_ref",
+                   topica.load_whitening(model_dir).identity_hash())
+        summaries = []
+        for source in (trace_dir, trace):
+            out = tmp_path / f"adj-{len(summaries)}"
+            assert main(["analyze", "--trace", str(source), "--mode", "adjacency",
+                         "--model", str(model_dir), "--out", str(out)]) == 0
+            summaries.append((out / "summary.txt").read_text())
+        assert summaries[0] == summaries[1]
+
     def test_shuffle_topo_changes_adjacency(self, tmp_path, trace_dir, model_dir):
         base = tmp_path / "base"
         shuf = tmp_path / "shuf"
@@ -681,15 +787,22 @@ class TestOutOfRangeFlags:
         ["analyze", "--mode", "autocorr", "--max-lag", "0"],
         ["analyze", "--mode", "adjacency", "--permutations", "0"],
         ["analyze", "--mode", "locality", "--k", "abc"],
+        ["activate", "--bar", "horizontal", "--frame-rate", "0"],
+        ["activate", "--bar", "horizontal", "--frame-rate", "abc"],
+        ["activate", "--bar", "horizontal", "--crop", "1,2"],
+        ["activate", "--bar", "horizontal", "--origin", "abc"],
+        ["train", "--images", "missing", "--crop", "1,2,3"],
     ], ids=lambda argv: " ".join(argv[-2:]))
     def test_exits_1_without_reading_inputs(self, tmp_path, argv):
         missing = str(tmp_path / "missing")
-        inputs = ["--model", missing] + (["--trace", missing] if argv[0] == "analyze" else [])
+        inputs = {"activate": ["--model", missing], "analyze": ["--model", missing,
+                                                                "--trace", missing]}
         out = tmp_path / "out"
-        proc = _run_cli(*argv, *inputs, "--out", str(out))
+        proc = _run_cli(*argv, *inputs.get(argv[0], []), "--out", str(out))
         assert proc.returncode == 1
         assert proc.stderr.startswith("topica: error: ") and "Traceback" not in proc.stderr
         assert f"argument {argv[-2]}: " in proc.stderr
+        assert not re.search(r"invalid _\w+ value", proc.stderr)    # no private function name
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [

@@ -278,6 +278,7 @@ class TestDirectories:
         seq = FrameSequence(frames=frames, frame_rate=30.0)
         save_sequence(seq, tmp_path)
         back = load_sequence(tmp_path)
+        assert (tmp_path / "sequence.meta").read_text() == "frame_rate = 30\n"
         assert len(back) == 4
         assert back.frame_rate == 30.0
         assert back.frames[0].width == 3

@@ -1,0 +1,213 @@
+"""Hypothesis fuzz of `main`: argv drawn from the flag grammar with mutated
+values, over tiny artifacts that may be cut short or byte-flipped anywhere.
+
+Whatever the argv and the files, `main` returns an exit code from 0 to 3,
+raises nothing, and leaves no `.topica-*` temporary sibling behind.
+
+Every example runs in a fresh working directory holding a copy of the
+artifacts under `in/`. Path values are relative names or known paths, so
+no command writes outside that directory. Integer values stay within
++-64, because a size flag allocates memory in proportion to its value.
+The 8x8 images are too small for the default 9x9 patches, so a `train`
+that falls back to the defaults fails fast instead of training at full size.
+"""
+
+import os
+import re
+import shutil
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import topica
+from topica.cli import main
+from topica.images import save_sequence, write_image
+
+INPUT = "in"
+TRAIN_SETTINGS = {"patch_side": "4", "n_patches": "300", "k": "9", "map_width": "3",
+                  "map_height": "3", "radius": "1", "max_iters": "3", "seed": "2"}
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """A directory holding `in/` (images, config, model, frames and trace)
+    and an empty `work/` for the examples."""
+    root = tmp_path_factory.mktemp("main-fuzz")
+    inputs = root / INPUT
+    (inputs / "images").mkdir(parents=True)
+    for s in (1, 2):
+        write_image(inputs / "images" / f"leaves_{s}.pgm",
+                    topica.generate_dead_leaves(8, 8, 12, seed=s, min_radius=1, max_radius=3),
+                    lo=0.0, hi=1.0)
+    (inputs / "run.conf").write_text("".join(f"{k} = {v}\n" for k, v in TRAIN_SETTINGS.items()))
+    scene = topica.generate_dead_leaves(24, 24, 40, seed=3, min_radius=1, max_radius=6)
+    save_sequence(topica.generate_panning_sequence(scene, 8, 4, speed=0.5, seed=4),
+                  inputs / "frames")
+    assert main(["train", "--images", str(inputs / "images"), "--out", str(inputs / "model"),
+                 "--config", str(inputs / "run.conf")]) == 0
+    assert main(["activate", "--model", str(inputs / "model"), "--frames",
+                 str(inputs / "frames"), "--out", str(inputs / "trace")]) == 0
+    (root / "work").mkdir()
+    return root
+
+
+def _bounded(text: str) -> bool:
+    """No comma-separated part is an integer beyond +-64."""
+    for part in text.split(","):
+        try:
+            if abs(int(part)) > 64:
+                return False
+        except ValueError:
+            pass
+    return True
+
+
+# Mutated values. NUL cannot occur in a real argv; a value starting `-h` or
+# `--h` would be argparse's --help, which prints and exits by design.
+values = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "0.5", "1e-300", "-0", "1e3", "", " ", "0,0",
+                     "1,2", "-1,0", "0,0,8,8", "1,1,3,3", "2,2,0,1", "9,9,2,2"]),
+    st.text(alphabet="0123456789,.-+_ eExaé", max_size=8),
+).filter(lambda v: _bounded(v) and not re.match(r"--?h", v))
+
+paths = st.one_of(
+    st.sampled_from(["missing", INPUT, ".", "..", "", "out", "out/sub",
+                     f"{INPUT}/model", f"{INPUT}/frames", f"{INPUT}/trace", f"{INPUT}/images",
+                     f"{INPUT}/run.conf", f"{INPUT}/model/basis.meta",
+                     f"{INPUT}/frames/frame_000000.pgm"]),
+    st.text(alphabet="abc.-_ é", min_size=1, max_size=6),
+).filter(lambda v: not re.match(r"--?h", v))
+
+
+# Each command's flags: (flag, valid values, whether it is always given).
+# An empty list of valid values marks a switch.
+MODEL = ("--model", [f"{INPUT}/model"], True)
+OUT = ("--out", ["out"], True)
+GRAMMAR = {
+    "train": [
+        ("--images", [f"{INPUT}/images"], True), OUT,
+        ("--config", [f"{INPUT}/run.conf"], False),
+        ("--patch-side", ["4", "3"], False), ("--n-patches", ["60", "300"], False),
+        ("--k", ["9", "4"], False), ("--map-width", ["3", "2"], False),
+        ("--map-height", ["3", "2"], False), ("--radius", ["1", "0"], False),
+        ("--epsilon", ["0.005"], False), ("--step0", ["0.1"], False),
+        ("--max-iters", ["2"], False), ("--tol", ["0"], False), ("--seed", ["0", "7"], False),
+        ("--crop", ["0,0,8,8", "1,1,6,6"], False),
+    ],
+    "activate": [
+        MODEL, OUT,
+        ("--origin", ["0,0", "2,2"], False), ("--crop", ["0,0,8,8", "1,1,6,6"], False),
+        ("--resize-width", ["8", "12"], False), ("--frame-rate", ["24", "0.5"], False),
+        ("--bar-frames", ["3"], False), ("--bar-thickness", ["1", "2"], False),
+    ],
+    "analyze": [
+        ("--trace", [f"{INPUT}/trace"], True), OUT,
+        ("--mode", ["autocorr", "adjacency", "locality"], True),
+        ("--model", [f"{INPUT}/model"], False),
+        ("--max-lag", ["1", "2"], False), ("--shuffle-baseline", ["0"], False),
+        ("--energy", [], False), ("--compare", [f"{INPUT}/trace"], False),
+        ("--compare-model", [f"{INPUT}/model"], False), ("--shuffle-topo", ["1"], False),
+        ("--permutations", ["20"], False), ("--k", ["2"], False), ("--seed", ["0"], False),
+    ],
+    "render": [MODEL, ("--out", ["montage.pgm"], True)],
+}
+# activate takes exactly one of these.
+SOURCES = [("--frames", [f"{INPUT}/frames"]), ("--bar", ["horizontal", "vertical"]),
+           ("--probe", ["0", "8"])]
+PATH_FLAGS = {"--images", "--config", "--model", "--out", "--trace", "--compare",
+              "--compare-model", "--frames"}
+
+
+@st.composite
+def argvs(draw, mutated_flags):
+    """A command with valid values for all flags but `mutated_flags` of them,
+    whose values are mutated; a mutated flag may also be left out or repeated."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    specs = list(GRAMMAR[command])
+    if command == "activate":
+        flag, valid = draw(st.sampled_from(SOURCES))
+        specs.append((flag, valid, True))
+    mutated = draw(st.sets(st.sampled_from(range(len(specs))),
+                           min_size=mutated_flags, max_size=mutated_flags))
+    groups = []
+    for index, (flag, valid, required) in enumerate(specs):
+        if index in mutated:
+            given = draw(st.integers(0, 2))
+            value = paths if flag in PATH_FLAGS else values
+        else:
+            given = 1 if required else draw(st.integers(0, 1))
+            value = st.sampled_from(valid) if valid else None
+        for _ in range(given):
+            groups.append([flag] if value is None else [flag, draw(value)])
+    groups = draw(st.permutations(groups))
+    return [command] + [arg for group in groups for arg in group]
+
+
+def named_files(root, argv) -> list:
+    """The artifact files, relative to `root`, under the paths that `argv` names."""
+    files = set()
+    for arg in argv:
+        path = os.path.join(root, arg)
+        if arg.split("/")[0] != INPUT or not os.path.exists(path):
+            continue
+        if os.path.isfile(path):
+            files.add(arg)
+        for base, _, names in os.walk(path):
+            files.update(os.path.relpath(os.path.join(base, name), root) for name in names)
+    return sorted(files)
+
+
+@st.composite
+def mutations(draw, root, argv):
+    """(file, cut length or byte flips) anywhere in one of the artifact
+    files that `argv` names, or None if it names none."""
+    files = named_files(root, argv)
+    if not files:
+        return None
+    name = draw(st.sampled_from(files))
+    size = os.path.getsize(os.path.join(root, name))
+    if size == 0 or draw(st.booleans()):
+        return name, draw(st.integers(0, max(size - 1, 0)))
+    return name, draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(1, 255)),
+                               min_size=1, max_size=4))
+
+
+def mutate(path, change) -> None:
+    data = bytearray(path.read_bytes())
+    if isinstance(change, int):
+        del data[change:]
+    else:
+        for index, mask in change:
+            data[index] ^= mask
+    path.write_bytes(bytes(data))
+
+
+def temporaries(root) -> list:
+    return [os.path.join(base, name) for base, dirs, names in os.walk(root)
+            for name in dirs + names if name.startswith(".topica-")]
+
+
+@settings(derandomize=True, deadline=None, max_examples=250,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_main_returns_an_exit_code(artifacts, data):
+    # Either one or two flags or one artifact file is mutated.
+    mutated_flags = data.draw(st.sampled_from([0, 0, 1, 2]))
+    argv = data.draw(argvs(mutated_flags), label="argv")
+    mutation = None if mutated_flags else data.draw(mutations(artifacts, argv), label="mutation")
+    work = artifacts / "work" / "run"
+    shutil.copytree(artifacts / INPUT, work / INPUT)
+    if mutation is not None:
+        mutate(work / mutation[0], mutation[1])
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        code = main(argv)
+    finally:
+        os.chdir(cwd)
+        left = temporaries(artifacts)
+        shutil.rmtree(work)
+    assert code in (0, 1, 2, 3)
+    assert not left

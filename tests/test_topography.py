@@ -136,7 +136,7 @@ PERMUTATION_CALLERS = {
     "Topography": lambda perm: Topography(width=2, height=2, radius=0, permutation=perm),
     "apply_permutation": lambda perm: apply_permutation(build_topography(2, 2, 0), perm),
     "relabel_trace": lambda perm: relabel_trace(
-        ActivationTrace(np.ones((3, 4)), 24.0, "0" * 64, "0" * 64), perm),
+        ActivationTrace(np.ones((3, 4)), 24.0, "0" * 64), perm),
 }
 
 
