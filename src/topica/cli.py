@@ -124,8 +124,24 @@ class RunConfig(estimation.TrainConfig):
 _FIELD_PARSERS = {f.name: f.metadata.get("parse", type(f.default)) for f in fields(RunConfig)}
 
 
+def _validation_error(values: dict) -> str | None:
+    """The message with which `RunConfig` rejects these values over its
+    defaults, or None if it accepts them."""
+    try:
+        RunConfig(**values)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
 def load_run_config(path=None, overrides=None) -> RunConfig:
-    """Config file first, then flag overrides; unknown keys are rejected."""
+    """Config file first, then flag overrides; unknown keys are rejected.
+
+    The merged settings are validated once, so a flag may mend a value
+    of the file. A validation error names the file unless the flags
+    alone, over the defaults, fail with the same message.
+    """
+    flags = {key: value for key, value in (overrides or {}).items() if value is not None}
     config = RunConfig()
     if path is not None:
         for key, raw in read_meta(path).items():
@@ -135,19 +151,23 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
                 setattr(config, key, _FIELD_PARSERS[key](raw))
             except (ValueError, ConfigError):
                 raise ConfigError(f"{path}: bad value for {key}: {raw!r}") from None
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            setattr(config, key, value)
-    config.validate()
+    for key, value in flags.items():
+        setattr(config, key, value)
+    try:
+        config.validate()
+    except ConfigError as exc:
+        if path is not None and str(exc) != _validation_error(flags):
+            raise ConfigError(f"{path}: {exc}") from None
+        raise
     return config
 
 
 def cmd_train(args, out) -> int:
     overrides = {name: getattr(args, name) for name in _FIELD_PARSERS}
     config = load_run_config(args.config, overrides)
-    prepared = _prepare_frames(images.load_images(args.images), config.crop)
     patches = images.extract_patches_from_images(
-        prepared, config.patch_side, config.n_patches, config.seed)
+        _prepare_frames(images.load_images(args.images), config.crop),
+        config.patch_side, config.n_patches, config.seed)
     model_w = whit.fit_whitening(patches, config.k)
     topo = build_topography(config.map_width, config.map_height, config.radius)
     model_b = estimation.train(patches, model_w, topo, config)
@@ -156,7 +176,8 @@ def cmd_train(args, out) -> int:
     last = model_b.training_log[-1]
     print(f"trained {model_b.kind} model: {model_b.n_units} units, "
           f"{model_b.iterations} iterations, "
-          f"final objective {format_float(last.objective)}")
+          f"final objective {format_float(last.objective)}, "
+          f"stopped by {model_b.stop_reason}")
     return 0
 
 
@@ -437,6 +458,10 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"topica: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:    # exit 2, as for OSError's ENOMEM
+        print(f"topica: error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 2
 
 

@@ -61,6 +61,10 @@ BASIS_FILE = "basis_matrix.ticm"
 META_FILE = "basis.meta"
 LOG_FILE = "training_log.csv"
 
+# Why training stopped: the filters moved less than `tol`, the step fell
+# below STEP_FLOOR, or `max_iters` passes ran.
+STOP_REASONS = ("tol", "step_floor", "max_iters")
+
 
 # Held-out samples that score each pass (at most a fifth of the data).
 HOLDOUT_SIZE = 1000
@@ -120,6 +124,7 @@ class BasisModel:
     epsilon: float
     seed: int
     training_log: list = field(default_factory=list)
+    stop_reason: str | None = None   # one of STOP_REASONS; None if not recorded
 
     @property
     def n_units(self) -> int:
@@ -157,12 +162,19 @@ class BasisModel:
         )
 
 
+def _kernel_work(n_samples: int, n_units: int) -> np.ndarray:
+    """Scratch for `tica_objective` and `tica_gradient` on batches of at
+    most `n_samples` rows: three (min(CHUNK, n_samples), n_units) buffers."""
+    return np.empty((3, min(CHUNK, n_samples), n_units))
+
+
 def _pooled_energy(filters: np.ndarray, batch: np.ndarray, topo: Topography,
-                   epsilon: float, gradient: bool):
+                   epsilon: float, gradient: bool, work: np.ndarray | None):
     """The kernel behind `tica_objective` and `tica_gradient`.
 
-    Walks the whitened (T, k) batch in blocks of CHUNK rows through
-    (CHUNK, n) buffers allocated once per call. Per block: responses
+    Walks the whitened (T, k) batch in blocks of CHUNK rows through the
+    three (CHUNK, n) buffers of `work`, or of a `_kernel_work` allocated
+    for this call when `work` is None. Per block: responses
     y = z W^T, pooled energies u = (y * y) h, then sqrt(epsilon + u) in
     place. Returns the mean over samples of sum_i sqrt(epsilon + u_i) or,
     with `gradient`, of (y(t) * (G'(u(t)) h))^T z_t with
@@ -177,11 +189,12 @@ def _pooled_energy(filters: np.ndarray, batch: np.ndarray, topo: Topography,
         raise DimensionMismatch(f"{n} filters for a {topo.n_units}-unit lattice")
     if batch.shape[-1] != k:
         raise DimensionMismatch(f"samples have {batch.shape[-1]} dims, filters expect {k}")
-    rows = min(CHUNK, batch.shape[0])
-    responses = np.empty((rows, n))
-    energies = np.empty((rows, n))
+    if work is None:
+        work = _kernel_work(batch.shape[0], n)
+    responses, energies, pooled = work
     pooling = topo.radius > 0
-    pooled = np.empty((rows, n)) if pooling else energies
+    if not pooling:
+        pooled = energies
     if gradient:
         total = np.zeros((n, k))
         block_grad = np.empty((n, k))
@@ -209,25 +222,27 @@ def _pooled_energy(filters: np.ndarray, batch: np.ndarray, topo: Topography,
 
 
 def tica_objective(filters: np.ndarray, batch: np.ndarray, topo: Topography,
-                   epsilon: float) -> float:
+                   epsilon: float, work: np.ndarray | None = None) -> float:
     """Mean pooled-energy score of a whitened batch; higher is better.
 
     J = (1/T) sum_t sum_i G(u_i(t)) with G(u) = -sqrt(epsilon + u) and
     u_i(t) the neighborhood-pooled squared responses of sample t.
+    `work`, a float64 array of shape (3, at least min(CHUNK, T), n), is
+    used as scratch in place of one allocated for the call.
     """
-    return float(-_pooled_energy(filters, batch, topo, epsilon, False))
+    return float(-_pooled_energy(filters, batch, topo, epsilon, False, work))
 
 
 def tica_gradient(filters: np.ndarray, batch: np.ndarray, topo: Topography,
-                  epsilon: float) -> np.ndarray:
+                  epsilon: float, work: np.ndarray | None = None) -> np.ndarray:
     """Exact gradient of `tica_objective` with respect to the filters.
 
     Row i is (2/T) sum_t z_t (w_i . z_t) r_i(t) where
     r_i(t) = sum_j h(i,j) G'(u_j(t)): the squared response of unit i
     feeds every neighborhood containing i, and differentiating the
-    square contributes the factor 2.
+    square contributes the factor 2. `work` is as in `tica_objective`.
     """
-    return 2.0 * _pooled_energy(filters, batch, topo, epsilon, True)
+    return 2.0 * _pooled_energy(filters, batch, topo, epsilon, True, work)
 
 
 def orthonormality_error(filters: np.ndarray) -> float:
@@ -274,8 +289,9 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
     -------
     BasisModel
         With orthonormal whitened-space filters, the pixel-space basis
-        matrix (dewhitened filter transposes), and a per-iteration log of
-        (iteration, held-out objective, step size, orthonormality error).
+        matrix (dewhitened filter transposes), a per-iteration log of
+        (iteration, held-out objective, step size, orthonormality error),
+        and the stop reason: "tol", "step_floor" or "max_iters".
     """
     if config is None:
         config = TrainConfig()
@@ -293,14 +309,25 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
     n_holdout = min(HOLDOUT_SIZE, max(1, n_samples // 5))
     holdout_idx = np.sort(np.random.default_rng(holdout_ss).choice(
         n_samples, size=n_holdout, replace=False))
-    train_idx = np.setdiff1d(np.arange(n_samples), holdout_idx)
+    in_holdout = np.zeros(n_samples, dtype=bool)
+    in_holdout[holdout_idx] = True
+    train_idx = np.flatnonzero(~in_holdout)
     if train_idx.size == 0:
         train_idx = holdout_idx
     holdout = z[holdout_idx]
-    rows = z[train_idx]
+    # Move the training rows to the front of z, which whiten made for this
+    # call, block by block. train_idx is increasing, so train_idx[j] >= j and
+    # no block reads a row that an earlier block wrote.
+    for start in range(0, train_idx.size, CHUNK):
+        block = train_idx[start:start + CHUNK]
+        z[start:start + block.size] = z[block]
+    rows = z[:train_idx.size]
 
+    # One scratch for every pass: buffers allocated per call were returned
+    # to the system and faulted in again on each call.
+    work = _kernel_work(n_samples, n)
     step = config.step0
-    objective = tica_objective(filters, holdout, topo, config.epsilon)
+    objective = tica_objective(filters, holdout, topo, config.epsilon, work)
     if not np.isfinite(objective):
         raise Diverged(f"initial objective is {objective}")
     log = [TrainingRecord(0, objective, step, orthonormality_error(filters))]
@@ -308,9 +335,9 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
     grad = None
     for iteration in range(1, config.max_iters + 1):
         if grad is None:
-            grad = tica_gradient(filters, rows, topo, config.epsilon)
+            grad = tica_gradient(filters, rows, topo, config.epsilon, work)
         candidate = symmetric_orthonormalize(filters + step * grad)
-        candidate_objective = tica_objective(candidate, holdout, topo, config.epsilon)
+        candidate_objective = tica_objective(candidate, holdout, topo, config.epsilon, work)
         if not np.isfinite(candidate_objective):
             raise Diverged(f"objective became {candidate_objective} at iteration {iteration}")
 
@@ -321,13 +348,17 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
             grad = None
             log.append(TrainingRecord(iteration, objective, step, orthonormality_error(filters)))
             if delta < config.tol:
+                stop_reason = "tol"
                 break
         else:
             # Retry from the pre-pass filters, and so with their gradient, at half the step.
             step *= STEP_SHRINK
             log.append(TrainingRecord(iteration, objective, step, orthonormality_error(filters)))
             if step < STEP_FLOOR:
+                stop_reason = "step_floor"
                 break
+    else:
+        stop_reason = "max_iters"
 
     basis = whitening.inverse @ filters.T
     return BasisModel(
@@ -338,6 +369,7 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
         epsilon=config.epsilon,
         seed=config.seed,
         training_log=log,
+        stop_reason=stop_reason,
     )
 
 
@@ -363,6 +395,8 @@ def save_basis(model: BasisModel, directory) -> None:
         "seed": model.seed,
         "iterations": model.iterations,
     }
+    if model.stop_reason is not None:
+        meta["stop_reason"] = model.stop_reason
     identity = np.arange(model.topo.n_units)
     if not np.array_equal(model.topo.permutation, identity):
         meta["permutation"] = ",".join(str(int(p)) for p in model.topo.permutation)
@@ -394,6 +428,12 @@ def load_basis(directory) -> BasisModel:
     permutation = None
     if "permutation" in meta:
         permutation = meta_ints(meta, "permutation", meta_path)
+    stop_reason = None
+    if "stop_reason" in meta:    # absent from models saved before it was recorded
+        stop_reason = meta_str(meta, "stop_reason", meta_path)
+        if stop_reason not in STOP_REASONS:
+            raise FormatError(f"{meta_path}: stop_reason must be one of "
+                              f"{', '.join(STOP_REASONS)}, got {stop_reason!r}")
     topo = Topography(
         width=meta_int(meta, "map_width", meta_path),
         height=meta_int(meta, "map_height", meta_path),
@@ -418,6 +458,7 @@ def load_basis(directory) -> BasisModel:
         epsilon=meta_float(meta, "epsilon", meta_path),
         seed=meta_int(meta, "seed", meta_path),
         training_log=log,
+        stop_reason=stop_reason,
     )
     kind = meta_str(meta, "kind", meta_path)
     if kind != model.kind:

@@ -115,8 +115,29 @@ def normalize_image(img: GrayImage) -> GrayImage:
     return GrayImage((values - mean) / np.sqrt(var))
 
 
-def _remove_row_means(rows: np.ndarray) -> np.ndarray:
-    return rows - rows.mean(axis=1, keepdims=True)
+def _patch_rows(patch_side: int, count: int) -> np.ndarray:
+    """An unfilled (count, patch_side^2) array, after checking both sizes."""
+    if patch_side < 1:
+        raise DataError(f"patch_side must be >= 1, got {patch_side}")
+    if count < 1:
+        raise DataError(f"count must be >= 1, got {count}")
+    return np.empty((count, patch_side * patch_side))
+
+
+def _crop_patches(img: GrayImage, side: int, out: np.ndarray, seed: int) -> None:
+    """Fill the rows of `out` with side x side crops of `img`, flattened
+    row-major, at uniformly random locations drawn from `seed`.
+
+    Crops are copied one row at a time, so no temporary grows with the
+    number of rows.
+    """
+    if side > min(img.width, img.height):
+        raise PatchTooLarge(f"patch_side {side} exceeds image size {img.width}x{img.height}")
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, img.height - side + 1, size=len(out))
+    cols = rng.integers(0, img.width - side + 1, size=len(out))
+    for i in range(len(out)):
+        out[i] = img.values[rows[i]:rows[i] + side, cols[i]:cols[i] + side].reshape(-1)
 
 
 def extract_random_patches(img: GrayImage, patch_side: int, count: int, seed: int) -> PatchSet:
@@ -125,22 +146,10 @@ def extract_random_patches(img: GrayImage, patch_side: int, count: int, seed: in
     Each patch is flattened row-major and has its own mean subtracted.
     The same seed always yields bit-identical output.
     """
-    if patch_side < 1:
-        raise DataError(f"patch_side must be >= 1, got {patch_side}")
-    if patch_side > min(img.width, img.height):
-        raise PatchTooLarge(
-            f"patch_side {patch_side} exceeds image size {img.width}x{img.height}"
-        )
-    if count < 1:
-        raise DataError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(0, img.height - patch_side + 1, size=count)
-    cols = rng.integers(0, img.width - patch_side + 1, size=count)
-    out = np.empty((count, patch_side * patch_side))
-    for i in range(count):
-        crop = img.values[rows[i]:rows[i] + patch_side, cols[i]:cols[i] + patch_side]
-        out[i] = crop.reshape(-1)
-    return PatchSet(_remove_row_means(out), patch_side, per_patch_mean_removed=True)
+    out = _patch_rows(patch_side, count)
+    _crop_patches(img, patch_side, out, seed)
+    out -= out.mean(axis=1, keepdims=True)
+    return PatchSet(out, patch_side, per_patch_mean_removed=True)
 
 
 def per_image_seed(master_seed: int, image_index: int) -> int:
@@ -152,20 +161,22 @@ def extract_patches_from_images(images, patch_side: int, count: int, seed: int) 
     """Split a total patch budget across images, earlier images first.
 
     Per-image extraction is seeded independently via `per_image_seed`, so
-    images may be processed in parallel without changing the result.
+    the result is the per-image `extract_random_patches` results stacked
+    in image order, but filled into one array.
     """
     if not images:
         raise DataError("no images to extract patches from")
-    if count < 1:
-        raise DataError(f"count must be >= 1, got {count}")
+    out = _patch_rows(patch_side, count)
     base, extra = divmod(count, len(images))
-    parts = []
+    start = 0
     for i, img in enumerate(images):
         n = base + (1 if i < extra else 0)
         if n == 0:
-            continue
-        parts.append(extract_random_patches(img, patch_side, n, per_image_seed(seed, i)).data)
-    return PatchSet(np.concatenate(parts, axis=0), patch_side, per_patch_mean_removed=True)
+            break
+        _crop_patches(img, patch_side, out[start:start + n], per_image_seed(seed, i))
+        start += n
+    out -= out.mean(axis=1, keepdims=True)
+    return PatchSet(out, patch_side, per_patch_mean_removed=True)
 
 
 def extract_fixed_patches(seq: FrameSequence, origin, patch_side: int) -> PatchSet:
@@ -184,7 +195,8 @@ def extract_fixed_patches(seq: FrameSequence, origin, patch_side: int) -> PatchS
     out = np.empty((len(seq), patch_side * patch_side))
     for t, fr in enumerate(seq.frames):
         out[t] = fr.values[row:row + patch_side, col:col + patch_side].reshape(-1)
-    return PatchSet(_remove_row_means(out), patch_side, per_patch_mean_removed=True)
+    out -= out.mean(axis=1, keepdims=True)
+    return PatchSet(out, patch_side, per_patch_mean_removed=True)
 
 
 def _resample_axis(values: np.ndarray, new_len: int, axis: int) -> np.ndarray:

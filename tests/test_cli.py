@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import os
 import re
+import resource
 import shutil
 import struct
 import subprocess
@@ -97,6 +98,27 @@ class TestRunConfig:
                      "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"topica: error: {path}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, flags, message", [
+        ("seed = -1\n", {}, "{path}: seed must be >= 0, got -1"),
+        ("k = 65\n", {}, "{path}: k = 65 but the map has 64 cells"),
+        ("seed = -1\n", {"k": 65}, "{path}: seed must be >= 0, got -1"),
+        ("seed = -1\n", {"seed": -2}, "seed must be >= 0, got -2"),
+        ("seed = 1\n", {"k": 65}, "k = 65 but the map has 64 cells"),
+    ], ids=["file", "file-combination", "file-first", "flag-replaces-file", "flag"])
+    def test_out_of_range_value_names_its_source(self, tmp_path, text, flags, message):
+        path = tmp_path / "run.conf"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_run_config(path, flags)
+        assert str(info.value) == message.format(path=path)
+
+    def test_flag_mends_a_file_combination(self, tmp_path):
+        # The file's k = 9 only fits the map the flags give.
+        path = tmp_path / "run.conf"
+        path.write_text("k = 9\n")
+        config = load_run_config(path, {"map_width": 3, "map_height": 3})
+        assert (config.k, config.map_width, config.map_height) == (9, 3, 3)
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "run.conf"
@@ -243,6 +265,13 @@ class TestTrainCommand:
         assert main(["train", "--images", str(bad), "--out", str(tmp_path / "m")]) == 2
         assert "x.pgm" in capsys.readouterr().err
 
+    def test_prints_stop_reason(self, tmp_path, image_dir, capsys):
+        out = tmp_path / "m"
+        assert main(["train", "--images", str(image_dir), "--out", str(out),
+                     "--max-iters", "2", "--tol", "0"] + TRAIN_FLAGS[:-4]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(", stopped by max_iters")
+        assert read_meta(out / "basis.meta")["stop_reason"] == "max_iters"
+
     def test_meta_iterations_match_cli(self, tmp_path, image_dir, capsys):
         out = tmp_path / "m"
         assert main(["train", "--images", str(image_dir), "--out", str(out),
@@ -303,11 +332,11 @@ class TestMalformedModelMeta:
         assert "basis.meta" in capsys.readouterr().err
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, **kwargs):
     """Run the CLI in a separate interpreter, so an escaping exception shows as a traceback."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(topica.__file__)))
     return subprocess.run([sys.executable, "-m", "topica.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, **kwargs)
 
 
 class TestMalformedTrainingLog:
@@ -771,6 +800,33 @@ class TestNegativeSeeds:
         assert proc.stderr.startswith("topica: error: ") and "Traceback" not in proc.stderr
         assert "seed" in proc.stderr
         assert not out.exists()
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+
+# Far above what the CLI needs, far below what the resize asks for.
+ADDRESS_SPACE_CAP = 2 * 1024**3
+
+
+class TestOutOfMemory:
+    def test_exits_2_and_leaves_nothing(self, tmp_path, model_dir):
+        # Resizing to width 10^10 fails at its first array (80 GB), before any
+        # memory is touched; width 999999 would first fill 250 MB.
+        frames = tmp_path / "frames"
+        rng = np.random.default_rng(0)
+        topica.save_sequence(FrameSequence([GrayImage(rng.random((8, 8))) for _ in range(2)]),
+                             frames)
+        out = tmp_path / "out"
+        proc = _run_cli("activate", "--model", str(model_dir), "--frames", str(frames),
+                        "--resize-width", str(10**10), "--out", str(out),
+                        preexec_fn=_cap_address_space)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("topica: error: out of memory: ")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+        assert not [name for name in os.listdir(tmp_path) if name.startswith(".topica-")]
 
 
 class TestOutOfRangeFlags:

@@ -1,3 +1,8 @@
+import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -14,6 +19,7 @@ from topica.errors import (
 )
 from topica.estimation import (
     CHUNK,
+    STEP_FLOOR,
     BasisModel,
     TrainConfig,
     check_model_pairing,
@@ -26,6 +32,7 @@ from topica.estimation import (
     tica_objective,
     train,
 )
+from topica.matrixio import read_meta
 from topica.topography import Topography, build_topography, shuffle_topography
 from topica.whitening import whiten
 
@@ -269,6 +276,82 @@ class TestTrain:
         topo = build_topography(4, 4, 0)
         model = train(small_patches, small_whitening, topo, TrainConfig(seed=2, max_iters=3))
         assert model.kind == "ICA"
+
+
+class TestStopReason:
+    @pytest.mark.parametrize("config, reason", [
+        (TrainConfig(seed=2, max_iters=3, tol=0.0), "max_iters"),
+        (TrainConfig(seed=2, max_iters=50, tol=1e3), "tol"),
+        (TrainConfig(seed=2, max_iters=500, tol=0.0), "step_floor"),
+    ], ids=["max_iters", "tol", "step_floor"])
+    def test_recorded_and_saved(self, tmp_path, small_patches, small_whitening, small_topo,
+                                config, reason):
+        model = train(small_patches, small_whitening, small_topo, config)
+        assert model.stop_reason == reason
+        last = model.training_log[-1]
+        assert (model.iterations == config.max_iters) == (reason == "max_iters")
+        assert (last.step < STEP_FLOOR) == (reason == "step_floor")
+        save_basis(model, tmp_path)
+        assert read_meta(tmp_path / "basis.meta")["stop_reason"] == reason
+        assert load_basis(tmp_path).stop_reason == reason
+
+    def test_not_part_of_the_identity(self, small_tica):
+        other = dataclasses.replace(small_tica, stop_reason="step_floor")
+        assert other.identity_hash() == small_tica.identity_hash()
+
+    def test_meta_without_it_loads(self, tmp_path, small_tica):
+        save_basis(small_tica, tmp_path)
+        meta = (tmp_path / "basis.meta").read_text()
+        assert "stop_reason = " in meta
+        (tmp_path / "basis.meta").write_text(
+            "".join(line for line in meta.splitlines(keepends=True)
+                    if not line.startswith("stop_reason")))
+        back = load_basis(tmp_path)
+        assert back.stop_reason is None
+        assert back.identity_hash() == small_tica.identity_hash()
+
+    def test_unknown_reason_rejected(self, tmp_path, small_tica):
+        save_basis(small_tica, tmp_path)
+        meta = (tmp_path / "basis.meta").read_text()
+        (tmp_path / "basis.meta").write_text(
+            meta.replace(f"stop_reason = {small_tica.stop_reason}", "stop_reason = bored"))
+        with pytest.raises(FormatError, match="basis.meta: stop_reason"):
+            load_basis(tmp_path)
+
+
+class TestTrainMemory:
+    def test_peak_is_about_the_whitened_rows(self, small_images):
+        # The training rows are moved to the front of the whitened array in
+        # place; a gathered copy of them peaked above twice its size.
+        patches = topica.extract_patches_from_images(small_images, 5, 30000, seed=3)
+        whitening = topica.fit_whitening(patches, 16)
+        topo = build_topography(4, 4, 1)
+        pixels = patches.data.copy()
+        z_bytes = patches.n_samples * whitening.k * 8
+        train(patches, whitening, topo, TrainConfig(max_iters=1))    # imports made on first use
+        tracemalloc.start()
+        try:
+            train(patches, whitening, topo, TrainConfig(seed=1, max_iters=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * z_bytes
+        npt.assert_array_equal(patches.data, pixels)
+
+    def test_does_not_import_numpy_ma(self):
+        # np.setdiff1d imports numpy.ma, which costs each train process 10-18 ms.
+        code = ("import sys\n"
+                "import topica\n"
+                "images = [topica.generate_dead_leaves(32, 32, 20, seed=s) for s in (1, 2)]\n"
+                "patches = topica.extract_patches_from_images(images, 4, 400, seed=0)\n"
+                "whitening = topica.fit_whitening(patches, 4)\n"
+                "topica.train(patches, whitening, topica.build_topography(2, 2, 0),\n"
+                "             topica.TrainConfig(max_iters=2))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(topica.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout == "False\n"
 
 
 class TestPersistence:

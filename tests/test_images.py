@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -20,6 +22,7 @@ from topica.images import (
     load_images,
     load_sequence,
     normalize_image,
+    per_image_seed,
     pgm_bytes,
     quantize,
     read_image,
@@ -109,6 +112,29 @@ class TestMultiImagePatches:
         assert ps.data.shape == (101, 25)
         ps2 = extract_patches_from_images(small_images, 5, 101, seed=4)
         npt.assert_array_equal(ps.data, ps2.data)
+
+    @pytest.mark.parametrize("count", [2, 100, 101])
+    def test_is_the_per_image_extractions_stacked(self, small_images, count):
+        # 101 does not divide evenly over 3 images; 2 leaves the last image none.
+        ps = extract_patches_from_images(small_images, 5, count, seed=4)
+        base, extra = divmod(count, len(small_images))
+        parts = [extract_random_patches(img, 5, base + (i < extra), per_image_seed(4, i)).data
+                 for i, img in enumerate(small_images) if base + (i < extra) > 0]
+        assert ps.data.tobytes() == np.concatenate(parts).tobytes()
+
+    def test_peak_memory_is_about_the_result(self):
+        # tracemalloc counts numpy's buffers, whatever the allocator keeps.
+        # Per-image arrays, their mean-removed copies and the concatenation
+        # peaked near twice the result.
+        images = [ramp(64, 64), ramp(80, 64), ramp(64, 72), ramp(70, 70)]
+        extract_patches_from_images(images, 5, 4, seed=1)    # imports made on first use
+        tracemalloc.start()
+        try:
+            ps = extract_patches_from_images(images, 5, 6000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * ps.data.nbytes
 
     def test_single_image_matches_seeded_stream(self):
         # One image must reproduce the per-image seeded extraction exactly.

@@ -1,5 +1,6 @@
 """Hypothesis fuzz of `main`: argv drawn from the flag grammar with mutated
-values, over tiny artifacts that may be cut short or byte-flipped anywhere.
+values, over tiny artifacts that may be cut short or byte-flipped anywhere,
+and valid commands over text artifacts with one value replaced.
 
 Whatever the argv and the files, `main` returns an exit code from 0 to 3,
 raises nothing, and leaves no `.topica-*` temporary sibling behind.
@@ -201,6 +202,61 @@ def test_main_returns_an_exit_code(artifacts, data):
     shutil.copytree(artifacts / INPUT, work / INPUT)
     if mutation is not None:
         mutate(work / mutation[0], mutation[1])
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        code = main(argv)
+    finally:
+        os.chdir(cwd)
+        left = temporaries(artifacts)
+        shutil.rmtree(work)
+    assert code in (0, 1, 2, 3)
+    assert not left
+
+
+# Valid commands, each with the text artifacts (relative to INPUT) that it reads.
+READERS = [
+    (["train", "--images", f"{INPUT}/images", "--config", f"{INPUT}/run.conf", "--out", "out"],
+     ["run.conf"]),
+    (["activate", "--model", f"{INPUT}/model", "--frames", f"{INPUT}/frames", "--out", "out"],
+     ["model/basis.meta", "model/whitening.meta", "frames/sequence.meta"]),
+    (["analyze", "--mode", "adjacency", "--trace", f"{INPUT}/trace", "--model", f"{INPUT}/model",
+      "--permutations", "20", "--out", "out"],
+     ["trace/trace.meta", "model/basis.meta", "model/training_log.csv"]),
+    (["render", "--model", f"{INPUT}/model", "--out", "montage.pgm"],
+     ["model/basis.meta", "model/training_log.csv"]),
+]
+
+
+@st.composite
+def value_edits(draw, root):
+    """A valid argv, and one `key = value` line or training-log row of a
+    file it reads, as (file, line index, line), with one value mutated."""
+    argv, files = draw(st.sampled_from(READERS))
+    name = draw(st.sampled_from(files))
+    lines = (root / INPUT / name).read_text(encoding="ascii").splitlines()
+    if name.endswith(".csv"):
+        index = draw(st.integers(1, len(lines) - 1))    # line 0 is the header
+        cells = lines[index].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(values)
+        return argv, (name, index, ",".join(cells))
+    index = draw(st.sampled_from([i for i, line in enumerate(lines) if "=" in line]))
+    return argv, (name, index, f"{lines[index].split('=', 1)[0]}= {draw(values)}")
+
+
+@settings(derandomize=True, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_main_returns_an_exit_code_on_bad_values(artifacts, data):
+    # Mutating only values reaches each parser far more often than flipping
+    # bytes anywhere, which mostly breaks keys, headers and payloads.
+    argv, (name, index, line) = data.draw(value_edits(artifacts), label="edit")
+    work = artifacts / "work" / "run"
+    shutil.copytree(artifacts / INPUT, work / INPUT)
+    path = work / INPUT / name
+    lines = path.read_text(encoding="ascii").splitlines()
+    lines[index] = line
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     cwd = os.getcwd()
     os.chdir(work)
     try:
