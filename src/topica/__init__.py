@@ -8,7 +8,6 @@ and spatial correlation structure of the resulting activations.
 from .activation import (
     ActivationTrace,
     compute_activation,
-    export_trace_csv,
     load_trace,
     reconstruct,
     relabel_trace,
@@ -75,7 +74,7 @@ __all__ = [
     "NumericalError", "PatchSet", "PermutationResult", "Topography",
     "TopicaError", "TrainConfig", "WhiteningModel", "adjacent_correlation",
     "adjacent_pairs", "autocorrelation", "build_topography", "cluster_locality",
-    "compare_adjacency", "compute_activation", "dewhiten", "export_trace_csv",
+    "compare_adjacency", "compute_activation", "dewhiten",
     "extract_fixed_patches", "extract_patches_from_images",
     "extract_random_patches", "fit_whitening", "generate_dead_leaves",
     "generate_moving_bar", "generate_panning_sequence",

@@ -24,7 +24,6 @@ from .matrixio import (
     read_meta,
     write_matrix,
     write_meta,
-    write_table,
 )
 from .topography import check_permutation
 from .whitening import WhiteningModel, whiten
@@ -121,9 +120,3 @@ def load_trace(directory) -> ActivationTrace:
         model_ref=meta_str(meta, "model_ref", meta_path),
     )
 
-
-def export_trace_csv(trace: ActivationTrace, path, use_energy: bool = False) -> None:
-    """One row per frame: frame index then one column per unit."""
-    values = trace.energies if use_energy else trace.activations
-    write_table(path, ["frame"] + [f"unit_{i}" for i in range(trace.n_units)],
-                ([t, *row] for t, row in enumerate(values)))

@@ -1,12 +1,12 @@
 """Command-line entry point: train, activate, analyze, render.
 
-Every command is deterministic given its config and seed; rerunning a
-command writes bit-identical files. Inputs are never mutated and all
-outputs land under the directory (or file path) named by --out. The
-directory commands (train, activate, analyze) build their output in a
-temporary sibling directory and move it into place only on success,
-replacing an existing --out as a whole; render does the same with its
-montage file.
+Every command is deterministic given its config, its seed and the BLAS
+thread count: rerunning a command with the same three writes
+bit-identical files. Inputs are never mutated and all outputs land under
+the directory (or file path) named by --out. Every command builds its
+output in a temporary sibling (a directory, or render's montage file)
+and moves it into place only on success, replacing an existing --out as
+a whole.
 """
 
 from __future__ import annotations
@@ -187,17 +187,18 @@ def _centered_origin(seq: images.FrameSequence, patch_side: int) -> tuple:
 
 
 def _prepare_frames(frames, crop=None, resize_width=None) -> list:
-    """Each image cropped to `crop` (a `parse_crop` tuple), resized to
-    `resize_width`, then normalized; None skips a step."""
-    prepared = []
-    for frame in frames:
+    """Each image of the list `frames` cropped to `crop` (a `parse_crop`
+    tuple), resized to `resize_width`, then normalized; None skips a step.
+    Each entry is replaced in place, so the list never holds two versions
+    of one image; it is also returned."""
+    for i, frame in enumerate(frames):
         if crop is not None:
             left, top, width, height = crop
             frame = images.crop_image(frame, top, left, height, width)
         if resize_width is not None:
             frame = images.resize_to_width(frame, resize_width)
-        prepared.append(images.normalize_image(frame))
-    return prepared
+        frames[i] = images.normalize_image(frame)
+    return frames
 
 
 def _upscale(grid: np.ndarray, scale: int) -> np.ndarray:
@@ -231,8 +232,7 @@ def cmd_activate(args, out) -> int:
     origin = (0, 0)
     if args.frames is not None:
         seq = images.load_sequence(args.frames)
-        seq = images.FrameSequence(_prepare_frames(seq.frames, args.crop, args.resize_width),
-                                   seq.frame_rate)
+        _prepare_frames(seq.frames, args.crop, args.resize_width)
         if args.origin is not None:
             left, top = args.origin
             origin = (top, left)
@@ -247,6 +247,7 @@ def cmd_activate(args, out) -> int:
         seq = images.FrameSequence([stimulus.generate_single_basis_probe(model, args.probe)])
     patches = images.extract_fixed_patches(seq, origin, model.patch_side)
     frame_rate = args.frame_rate if args.frame_rate is not None else seq.frame_rate
+    del seq    # the patches hold all that is used of the frames
     trace = act.compute_activation(model, model_w, patches, frame_rate)
     act.save_trace(trace, out)
     render_energy_heatmaps(trace, model.topo, os.path.join(out, HEATMAP_FILE))
@@ -305,18 +306,9 @@ def _analysis_topo(args, trace: act.ActivationTrace) -> Topography:
 
 
 def cmd_render(args) -> int:
-    model = estimation.load_basis(args.model)
-    montage = render_montage(model)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(out_dir, exist_ok=True)
-    tmp = os.path.join(out_dir, f".topica-{os.getpid()}.pgm")
-    try:
+    with _replacing_output(args, directory=False) as tmp:
+        montage = render_montage(estimation.load_basis(args.model))
         images.write_image(tmp, montage, lo=0.0, hi=1.0)
-        os.replace(tmp, args.out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
     print(f"wrote {montage.width}x{montage.height} montage to {args.out}")
     return 0
 
@@ -418,31 +410,40 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextlib.contextmanager
-def _replacing_output(args):
-    """Yield an empty temporary sibling of --out, which replaces --out on success.
+def _replacing_output(args, directory=True):
+    """Yield a temporary sibling of --out, which replaces --out on success.
 
-    If the command fails, the temporary directory is removed and --out is
-    left as it was. An --out that is, or contains, an input or the working
-    directory is refused before anything is computed.
+    The sibling is an empty directory or, with `directory` False, the path
+    of a file in one. If the command fails, it is removed and --out is left
+    as it was. An --out that is, or contains, an input or the working
+    directory is refused before anything is computed, and so is a file
+    --out inside an input directory, whose files it could replace.
     """
     out = os.path.realpath(args.out)
-    for path in [os.getcwd()] + [getattr(args, name, None) for name in INPUT_ARGS]:
-        if path is not None and os.path.commonpath([out, os.path.realpath(path)]) == out:
+    inputs = [path for path in (getattr(args, name, None) for name in INPUT_ARGS)
+              if path is not None]
+    for path in [os.getcwd()] + inputs:
+        if os.path.commonpath([out, os.path.realpath(path)]) == out:
             raise ConfigError(f"--out {args.out} contains {path}, which replacing it would delete")
+    if not directory:
+        for path in inputs:
+            if os.path.commonpath([out, os.path.realpath(path)]) == os.path.realpath(path):
+                raise ConfigError(f"--out {args.out} is inside {path}, "
+                                  f"whose files it could replace")
     parent = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".topica-", dir=parent)
+    result = tmp if directory else os.path.join(tmp, os.path.basename(out))
     try:
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o777 & ~umask)
-        yield tmp
-        if os.path.isdir(args.out):
+        yield result
+        if directory and os.path.isdir(args.out):
             shutil.rmtree(args.out)
-        os.replace(tmp, args.out)
-    except BaseException:
+        os.replace(result, args.out)
+    finally:
         shutil.rmtree(tmp, ignore_errors=True)
-        raise
 
 
 def main(argv=None) -> int:

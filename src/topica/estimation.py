@@ -49,7 +49,7 @@ from .matrixio import (
     write_table,
 )
 from .topography import Topography
-from .whitening import WhiteningModel, whiten
+from .whitening import CHUNK, WhiteningModel, whiten
 
 STEP_FLOOR = 1e-6
 STEP_GROWTH = 1.2
@@ -68,11 +68,6 @@ STOP_REASONS = ("tol", "step_floor", "max_iters")
 
 # Held-out samples that score each pass (at most a fifth of the data).
 HOLDOUT_SIZE = 1000
-
-# Batch rows per block of the pooled-energy kernel. Its (CHUNK, n) buffers
-# stay in cache, and a fixed size keeps the gradient's summation order, and
-# so every trained bit, the same on any core count.
-CHUNK = 1024
 
 
 @dataclass

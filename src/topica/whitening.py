@@ -35,6 +35,14 @@ TRANSFORM_FILE = "whitening_matrix.ticm"
 INVERSE_FILE = "dewhitening_matrix.ticm"
 META_FILE = "whitening.meta"
 
+# Rows per block of every row-blocked product: `whiten`'s projection and
+# the pooled-energy kernel of `estimation`. The kernel's (CHUNK, n) buffers
+# stay in cache, the BLAS packs one block at a time, and a fixed size keeps
+# the gradient's summation order independent of the batch size. Artifacts
+# are bit-identical for a given seed and BLAS thread count; at another
+# thread count the BLAS may sum a product in another order.
+CHUNK = 1024
+
 
 @dataclass(eq=False)
 class WhiteningModel:
@@ -127,12 +135,25 @@ def fit_whitening(patches: PatchSet, k: int) -> WhiteningModel:
 
 
 def whiten(model: WhiteningModel, patches: PatchSet) -> np.ndarray:
-    """Project patches into the whitened space, one row per sample."""
+    """Project patches into the whitened space, one row per sample.
+
+    Equal, bit for bit, to `patches.data @ model.transform.T`, but written
+    into one array CHUNK rows at a time, so the BLAS packs one block and
+    not the whole batch. The last block is the last CHUNK rows and may
+    overlap the one before it: a product of fewer rows can take another
+    BLAS path, with other bits.
+    """
     if patches.n_pixels != model.n_pixels:
         raise DimensionMismatch(
             f"patches have {patches.n_pixels} pixels, model expects {model.n_pixels}"
         )
-    return patches.data @ model.transform.T
+    data = patches.data
+    n_samples = data.shape[0]
+    z = np.empty((n_samples, model.k))
+    transform_t = model.transform.T
+    for start in [*range(0, n_samples - CHUNK, CHUNK), max(n_samples - CHUNK, 0)]:
+        np.matmul(data[start:start + CHUNK], transform_t, out=z[start:start + CHUNK])
+    return z
 
 
 def dewhiten(model: WhiteningModel, z: np.ndarray) -> np.ndarray:

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,7 +6,6 @@ import topica
 from topica.activation import (
     ActivationTrace,
     compute_activation,
-    export_trace_csv,
     load_trace,
     reconstruct,
     relabel_trace,
@@ -112,21 +109,3 @@ def test_save_load_roundtrip(tmp_path, trace):
     npt.assert_array_equal(back.energies, trace.energies)
     assert back.frame_rate == trace.frame_rate
     assert back.model_ref == trace.model_ref
-
-
-def test_csv_export(tmp_path, trace):
-    path = tmp_path / "trace.csv"
-    export_trace_csv(trace, path)
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["frame"] + [f"unit_{i}" for i in range(trace.n_units)]
-    assert len(rows) == trace.n_frames + 1
-    assert float(rows[1][1]) == trace.activations[0, 0]
-
-
-def test_csv_export_energy_mode(tmp_path, trace):
-    path = tmp_path / "trace.csv"
-    export_trace_csv(trace, path, use_energy=True)
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    assert float(rows[1][1]) == trace.energies[0, 0]

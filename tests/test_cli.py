@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import json
 import os
 import re
 import resource
@@ -7,13 +8,14 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import topica
-from topica.cli import (RunConfig, build_parser, load_run_config, main, parse_crop,
-                        render_energy_heatmaps)
+from topica.cli import (RunConfig, build_parser, cmd_activate, load_run_config, main,
+                        parse_crop, render_energy_heatmaps)
 from topica.errors import ConfigError
 from topica.images import FrameSequence, GrayImage, extract_fixed_patches, read_image, write_image
 from topica.matrixio import content_hash, read_matrix, read_meta, write_matrix
@@ -672,6 +674,38 @@ class TestActivateCommand:
         assert (out / "heatmaps.pgm").read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["bar", "frames"]
 
+    def test_holds_one_frame_stack(self, tmp_path, model_dir, monkeypatch):
+        # The frames are normalized in place and dropped once the patches are
+        # cut, so activate holds at most one stack (plus a frame or two), and
+        # none by the time the activations are computed.
+        frames = tmp_path / "frames"
+        rng = np.random.default_rng(0)
+        topica.save_sequence(FrameSequence([GrayImage(rng.random((128, 128)))
+                                            for _ in range(40)]), frames)
+        stack_bytes = 40 * 128 * 128 * 8
+        args = build_parser().parse_args(["activate", "--model", str(model_dir),
+                                          "--frames", str(frames), "--out", "unused"])
+        out = tmp_path / "out"
+        out.mkdir()
+        held = []
+        compute = topica.activation.compute_activation
+
+        def compute_activation(*a, **kw):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return compute(*a, **kw)
+
+        monkeypatch.setattr(topica.activation, "compute_activation", compute_activation)
+        cmd_activate(args, str(out))    # imports made on first use
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cmd_activate(args, str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1.5 * stack_bytes
+        assert held[-1] - start < 0.25 * stack_bytes
+
     def test_out_containing_an_input_is_refused(self, tmp_path, model_dir):
         model = tmp_path / "model"
         shutil.copytree(model_dir, model)
@@ -829,6 +863,46 @@ class TestOutOfMemory:
         assert not [name for name in os.listdir(tmp_path) if name.startswith(".topica-")]
 
 
+# Reports the ru_maxrss, in MB, of `python -c "import topica.cli"` and of
+# `python -m topica.cli ARGV...`. A child's ru_maxrss starts from the memory
+# of the process that spawned it, so they are spawned from this small
+# interpreter and not from the test process.
+_MAXRSS_DRIVER = """
+import json, os, subprocess, sys
+def maxrss_mb(argv):
+    proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert status == 0, argv
+    return usage.ru_maxrss / 1024
+print(json.dumps([maxrss_mb(["-c", "import topica.cli"]),
+                  maxrss_mb(["-m", "topica.cli", *sys.argv[1:]])]))
+"""
+
+
+class TestProcessMemory:
+    def test_train_rise_is_about_its_arrays(self, tmp_path):
+        # Desk size: 20000 patches of 9x9 pixels whitened to 64 dimensions.
+        # Whitening all rows in one product would touch ~12 MB of OpenBLAS
+        # packing buffers and rise ~42.7 MB; in row blocks train rises
+        # ~31.3 MB. The margin covers the images, the held-out rows, the
+        # kernel scratch and one block's buffers.
+        images = tmp_path / "images"
+        images.mkdir()
+        for i in range(4):
+            write_image(images / f"leaves_{i}.pgm",
+                        topica.generate_dead_leaves(256, 256, 220, seed=i))
+        n_patches, n_pixels, k = 20000, 81, 64
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(topica.__file__)))
+        proc = subprocess.run([sys.executable, "-c", _MAXRSS_DRIVER, "train",
+                               "--images", str(images), "--out", str(tmp_path / "model"),
+                               "--n-patches", str(n_patches), "--max-iters", "1"],
+                              capture_output=True, text=True, env=env, check=True)
+        imported, trained = json.loads(proc.stdout)
+        arrays_mb = n_patches * (n_pixels + k) * 8 / 2**20
+        assert trained - imported < arrays_mb + 13
+
+
 class TestOutOfRangeFlags:
     """A value wrong whatever the inputs is a usage error, found before any file is read;
     a value wrong only for the given model is a data error."""
@@ -939,6 +1013,15 @@ class TestRenderCommand:
         assert main(["render", "--model", str(model_dir), "--out", str(out)]) == 2
         assert out.read_bytes() == before
         assert os.listdir(out.parent) == ["montage.pgm"]
+
+    def test_out_inside_model_is_refused(self, tmp_path, model_dir):
+        model = tmp_path / "model"
+        shutil.copytree(model_dir, model)
+        before = _tree_bytes(model)
+        for name in sorted(before) + ["montage.pgm"]:
+            assert main(["render", "--model", str(model), "--out", str(model / name)]) == 1
+        assert _tree_bytes(model) == before
+        assert os.listdir(tmp_path) == ["model"]
 
     def test_montage_unreadable_model(self, tmp_path):
         assert main(["render", "--model", str(tmp_path / "nope"),

@@ -5,6 +5,7 @@ import pytest
 from topica.errors import BadK, DimensionMismatch, RankDeficient
 from topica.images import PatchSet
 from topica.whitening import (
+    CHUNK,
     WhiteningModel,
     dewhiten,
     fit_whitening,
@@ -87,6 +88,19 @@ def test_whiten_shape_check(rng):
         whiten(model, PatchSet(rng.standard_normal((5, 9)), 3))
     with pytest.raises(DimensionMismatch):
         dewhiten(model, rng.standard_normal((5, 9)))
+
+
+# 81 pixels is at most T for every T but 1; 46 * 46 = 2116 pixels exceeds
+# every T. The first model is fitted from X^T X, the second from X X^T.
+@pytest.mark.parametrize("side, fit_rows", [(9, 2000), (46, 300)], ids=["p81", "p2116"])
+@pytest.mark.parametrize("n_samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
+def test_blocked_whiten_is_the_one_product(side, fit_rows, n_samples):
+    rng = np.random.default_rng(n_samples)
+    model = fit_whitening(random_patches(rng, fit_rows, side), 64)
+    patches = random_patches(rng, n_samples, side)
+    z = whiten(model, patches)
+    assert z.flags.c_contiguous
+    assert z.tobytes() == (patches.data @ model.transform.T).tobytes()
 
 
 def test_save_load_roundtrip(tmp_path, rng):
