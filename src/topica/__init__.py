@@ -10,7 +10,6 @@ from .activation import (
     compute_activation,
     load_trace,
     reconstruct,
-    relabel_trace,
     save_trace,
     shuffle_frames,
 )
@@ -81,7 +80,7 @@ __all__ = [
     "generate_single_basis_probe", "ica_train", "load_basis", "load_images",
     "load_sequence", "load_trace", "load_whitening", "normalize_image",
     "pairwise_distances", "permutation_test", "read_image",
-    "reconstruct", "relabel_trace", "save_basis", "save_sequence", "save_trace",
+    "reconstruct", "save_basis", "save_sequence", "save_trace",
     "save_whitening", "shuffle_frames", "shuffle_topography",
     "symmetric_orthonormalize", "tica_gradient", "tica_objective",
     "train", "whiten", "write_image",

@@ -25,7 +25,6 @@ from .matrixio import (
     write_matrix,
     write_meta,
 )
-from .topography import check_permutation
 from .whitening import WhiteningModel, whiten
 
 ACTIVATIONS_FILE = "activations.ticm"
@@ -89,12 +88,6 @@ def shuffle_frames(trace: ActivationTrace, seed: int) -> ActivationTrace:
     rng = np.random.default_rng(seed)
     order = rng.permutation(trace.n_frames)
     return replace(trace, activations=trace.activations[order])
-
-
-def relabel_trace(trace: ActivationTrace, permutation: np.ndarray) -> ActivationTrace:
-    """Reorder unit columns: new column i is old column permutation[i]."""
-    perm = check_permutation(permutation, trace.n_units)
-    return replace(trace, activations=trace.activations[:, perm])
 
 
 def save_trace(trace: ActivationTrace, directory) -> None:

@@ -14,7 +14,7 @@ chance control:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,28 +60,37 @@ class PermutationResult:
     n_permutations: int
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    a = a - a.mean()
-    b = b - b.mean()
-    denom = np.sqrt((a * a).sum() * (b * b).sum())
-    if denom == 0.0:
-        return np.nan
-    return float((a * b).sum() / denom)
+def _row_correlations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pearson r of each row of `a` with the same row of `b`; NaN for a constant row.
+
+    Each row is centered on its own mean, so a drifting series does not
+    bias r. Contiguous rows reduce along axis 1 in the same pairwise order
+    as a 1-D sum, so each r has the bits of the one-pair-at-a-time formula.
+    """
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
+    a = a - a.mean(axis=1, keepdims=True)
+    b = b - b.mean(axis=1, keepdims=True)
+    denom = np.sqrt((a * a).sum(axis=1) * (b * b).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom == 0.0, np.nan, (a * b).sum(axis=1) / denom)
+
+
+def _nanmean(values: np.ndarray, axis=None):
+    """np.nanmean, with an all-NaN mean reported as NaN without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return np.nanmean(values, axis=axis)
 
 
 def _per_unit_autocorr(values: np.ndarray, max_lag: int, included: np.ndarray) -> np.ndarray:
-    """Lag-0..max_lag autocorrelation of each included column.
-
-    Each lagged segment is centered on its own mean, so the estimate
-    stays unbiased when the series drifts.
-    """
-    n_units = values.shape[1]
-    out = np.full((n_units, max_lag + 1), np.nan)
-    for i in np.flatnonzero(included):
-        series = values[:, i]
-        out[i, 0] = 1.0
-        for lag in range(1, max_lag + 1):
-            out[i, lag] = _pearson(series[:-lag], series[lag:])
+    """Lag-0..max_lag autocorrelation of each column, one lag at a time;
+    the rows of excluded columns are NaN."""
+    series = values.T
+    out = np.ones((values.shape[1], max_lag + 1))
+    for lag in range(1, max_lag + 1):
+        out[:, lag] = _row_correlations(series[:, :-lag], series[:, lag:])
+    out[~included] = np.nan
     return out
 
 
@@ -98,8 +107,9 @@ def autocorrelation(trace: ActivationTrace, max_lag: int, shuffle_seed: int = 0,
     """
     if max_lag < 1:
         raise ConfigError(f"max_lag must be >= 1, got {max_lag}")
-    if max_lag >= trace.n_frames:
-        raise DegenerateSeries(f"max_lag {max_lag} needs more than {trace.n_frames} frames")
+    if max_lag > trace.n_frames - 2:    # the last lag needs 2-frame segments
+        raise DegenerateSeries(f"max_lag {max_lag} needs at least {max_lag + 2} frames, "
+                               f"the trace has {trace.n_frames}")
     values = trace.energies if use_energy else trace.activations
     included = values.std(axis=0) > 0.0
     n_excluded = int((~included).sum())
@@ -115,9 +125,9 @@ def autocorrelation(trace: ActivationTrace, max_lag: int, shuffle_seed: int = 0,
     shuffled_per_unit = _per_unit_autocorr(shuffled_values, max_lag, included)
     return AutocorrReport(
         lags=np.arange(max_lag + 1),
-        mean_autocorr=np.nanmean(per_unit[included], axis=0),
+        mean_autocorr=_nanmean(per_unit[included], axis=0),
         per_unit=per_unit,
-        shuffled_mean=np.nanmean(shuffled_per_unit[included], axis=0),
+        shuffled_mean=_nanmean(shuffled_per_unit[included], axis=0),
         frame_rate=trace.frame_rate,
         n_excluded=n_excluded,
     )
@@ -133,12 +143,10 @@ def adjacent_correlation(trace: ActivationTrace, topo: Topography) -> AdjacencyR
     if trace.n_units != topo.n_units:
         raise DimensionMismatch(f"trace has {trace.n_units} units, lattice {topo.n_units}")
     pairs = adjacent_pairs(topo)
-    correlations = np.array([_pearson(trace.energies[:, i], trace.energies[:, j])
-                             for i, j in pairs])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN is reported as NaN
-        mean_r = float(np.nanmean(correlations)) if len(correlations) else np.nan
-    return AdjacencyReport(pairs=pairs, pair_correlations=correlations, mean_r=mean_r)
+    energies = trace.energies.T
+    correlations = _row_correlations(energies[pairs[:, 0]], energies[pairs[:, 1]])
+    return AdjacencyReport(pairs=pairs, pair_correlations=correlations,
+                           mean_r=float(_nanmean(correlations)))
 
 
 def permutation_test(group_a: np.ndarray, group_b: np.ndarray, n_permutations: int = N_PERMUTATIONS,
@@ -184,16 +192,8 @@ def compare_adjacency(report: AdjacencyReport, other: AdjacencyReport,
     mine = report.pair_correlations[~np.isnan(report.pair_correlations)]
     theirs = other.pair_correlations[~np.isnan(other.pair_correlations)]
     result = permutation_test(mine, theirs, n_permutations, seed)
-    return AdjacencyReport(
-        pairs=report.pairs,
-        pair_correlations=report.pair_correlations,
-        mean_r=report.mean_r,
-        comparison=AdjacencyComparison(
-            other_mean_r=other.mean_r,
-            p_value=result.p_value,
-            n_permutations=n_permutations,
-        ),
-    )
+    return replace(report, comparison=AdjacencyComparison(
+        other_mean_r=other.mean_r, p_value=result.p_value, n_permutations=n_permutations))
 
 
 def cluster_locality(trace: ActivationTrace, topo: Topography, k: int) -> float:
@@ -213,11 +213,10 @@ def cluster_locality(trace: ActivationTrace, topo: Topography, k: int) -> float:
         return 0.0
     dist = pairwise_distances(topo)
     iu, ju = np.triu_indices(k, 1)
-    total = 0.0
-    for t in range(trace.n_frames):
-        top = np.argsort(-trace.energies[t], kind="stable")[:k]
-        total += dist[top[iu], top[ju]].mean()
-    return total / trace.n_frames
+    top = np.argsort(-trace.energies, axis=1, kind="stable")[:, :k]
+    per_frame = dist[top[:, iu], top[:, ju]].mean(axis=1)
+    # cumsum adds the frames in order, as a running total would.
+    return float(np.cumsum(per_frame)[-1] / trace.n_frames)
 
 
 def write_autocorr_csv(report: AutocorrReport, path) -> None:

@@ -32,6 +32,9 @@ HEATMAP_FILE = "heatmaps.pgm"
 RECON_FILE = "recon.pgm"
 # Path arguments a command reads; its --out may not be or contain any of them.
 INPUT_ARGS = ("images", "config", "model", "frames", "trace", "compare", "compare_model")
+# Per command, flags that apply only with another of its flags; all default to None.
+_FLAG_NEEDS = {"activate": {"origin": "frames", "crop": "frames", "resize_width": "frames"},
+               "analyze": {"compare_model": "compare"}}
 
 
 def _parse_ints(text: str, name: str, layout: str) -> tuple:
@@ -450,6 +453,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for name, needed in _FLAG_NEEDS.get(args.command, {}).items():
+            if getattr(args, name) is not None and getattr(args, needed) is None:
+                flag = "--" + name.replace("_", "-")
+                raise ConfigError(f"argument {flag}: applies only with --{needed}")
         if args.command == "render":
             return args.func(args)
         with _replacing_output(args) as out:

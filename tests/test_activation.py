@@ -8,11 +8,10 @@ from topica.activation import (
     compute_activation,
     load_trace,
     reconstruct,
-    relabel_trace,
     save_trace,
     shuffle_frames,
 )
-from topica.errors import BadPermutation, DimensionMismatch, ModelMismatch
+from topica.errors import DimensionMismatch, ModelMismatch
 from topica.images import PatchSet
 from topica.matrixio import read_matrix
 
@@ -68,20 +67,6 @@ def test_shuffle_frames_permutes_rows(trace):
     assert not np.array_equal(shuffled.activations, trace.activations)
     again = shuffle_frames(trace, seed=4)
     npt.assert_array_equal(shuffled.activations, again.activations)
-
-
-def test_relabel_moves_columns(trace):
-    perm = np.roll(np.arange(trace.n_units), 3)
-    out = relabel_trace(trace, perm)
-    npt.assert_array_equal(out.activations, trace.activations[:, perm])
-    npt.assert_array_equal(out.energies, trace.energies[:, perm])
-
-
-def test_relabel_rejects_non_permutation(trace):
-    with pytest.raises(BadPermutation):
-        relabel_trace(trace, np.zeros(trace.n_units, dtype=int))
-    with pytest.raises(BadPermutation):
-        relabel_trace(trace, np.arange(trace.n_units - 1))
 
 
 def test_trace_shape_validation():

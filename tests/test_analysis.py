@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from topica.activation import ActivationTrace, relabel_trace
+from topica.activation import ActivationTrace, shuffle_frames
 from topica.analysis import (
     adjacent_correlation,
     autocorrelation,
@@ -14,7 +16,8 @@ from topica.analysis import (
     write_autocorr_csv,
 )
 from topica.errors import BadK, ConfigError, DegenerateSeries, DimensionMismatch, EmptyGroup
-from topica.topography import build_topography, shuffle_topography
+from topica.topography import (adjacent_pairs, build_topography, pairwise_distances,
+                               shuffle_topography)
 
 
 def make_trace(activations, frame_rate=24.0):
@@ -25,6 +28,15 @@ def make_trace(activations, frame_rate=24.0):
 def reference_lag_corr(series, lag):
     a, b = series[:len(series) - lag], series[lag:]
     return np.corrcoef(a, b)[0, 1]
+
+
+def pearson_one_pair(a, b):
+    """Pearson r of two 1-D series, one pair at a time: the loop form that
+    the analyses' matrix form must reproduce bit for bit."""
+    a = a - a.mean()
+    b = b - b.mean()
+    denom = np.sqrt((a * a).sum() * (b * b).sum())
+    return np.nan if denom == 0.0 else float((a * b).sum() / denom)
 
 
 class TestAutocorrelation:
@@ -74,6 +86,20 @@ class TestAutocorrelation:
             autocorrelation(trace, 0)
         with pytest.raises(DegenerateSeries):
             autocorrelation(trace, 10)
+        with pytest.raises(DegenerateSeries):    # its last lag would correlate 1-frame segments
+            autocorrelation(trace, 9)
+        assert autocorrelation(trace, 8).per_unit.shape == (2, 9)
+
+    def test_all_nan_lag_is_nan_without_warning(self):
+        # Both units vary over the first three frames only, so from lag 3 on
+        # every later segment is constant and every unit's r is NaN.
+        activations = np.zeros((10, 2))
+        activations[:3] = [[1.0, -2.0], [3.0, 1.0], [-1.0, 0.5]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = autocorrelation(make_trace(activations), 8)
+        assert np.isfinite(report.mean_autocorr[:3]).all()
+        assert np.isnan(report.mean_autocorr[3:]).all()
 
     def test_shuffled_baseline_is_flat_for_noise(self, rng):
         trace = make_trace(rng.standard_normal((400, 8)))
@@ -111,7 +137,7 @@ class TestAdjacency:
         seed = 17
         shuffled = shuffle_topography(topo, seed)
         perm = np.random.default_rng(seed).permutation(12)
-        relabeled = relabel_trace(trace, np.argsort(perm))
+        relabeled = make_trace(trace.activations[:, np.argsort(perm)])
         a = adjacent_correlation(trace, shuffled)
         b = adjacent_correlation(relabeled, topo)
         npt.assert_allclose(sorted(a.pair_correlations), sorted(b.pair_correlations),
@@ -242,9 +268,76 @@ class TestClusterLocality:
         seed = 23
         shuffled = shuffle_topography(topo, seed)
         perm = np.random.default_rng(seed).permutation(12)
-        relabeled = relabel_trace(trace, np.argsort(perm))
+        relabeled = make_trace(trace.activations[:, np.argsort(perm)])
         npt.assert_allclose(cluster_locality(trace, shuffled, 4),
                             cluster_locality(relabeled, topo, 4), atol=1e-12)
+
+
+class TestMatrixFormMatchesLoops:
+    """Every analysis gives the bytes of its one-unit, one-pair, one-frame loop.
+
+    Frame counts cross numpy's pairwise-summation thresholds (blocks of 8,
+    and 128 elements). The lattice is shuffled and unit 3 is constant.
+    """
+
+    FRAMES = [2, 7, 9, 128, 129, 300, 1025]
+
+    @staticmethod
+    def setup(n_frames):
+        topo = shuffle_topography(build_topography(5, 4, 1), seed=7)
+        activations = np.random.default_rng(n_frames).standard_normal((n_frames, 20))
+        activations[:, 3] = 0.5
+        return make_trace(activations), topo
+
+    @staticmethod
+    def loop_autocorr(values, max_lag):
+        out = np.full((values.shape[1], max_lag + 1), np.nan)
+        for i in np.flatnonzero(values.std(axis=0) > 0.0):
+            out[i, 0] = 1.0
+            for lag in range(1, max_lag + 1):
+                out[i, lag] = pearson_one_pair(values[:-lag, i], values[lag:, i])
+        return out
+
+    @pytest.mark.parametrize("use_energy", [False, True], ids=["activations", "energies"])
+    @pytest.mark.parametrize("n_frames", FRAMES[1:])    # 2 frames allow no lag
+    def test_autocorrelation(self, n_frames, use_energy):
+        trace, _ = self.setup(n_frames)
+        max_lag = min(n_frames - 2, 9)
+        with pytest.warns(UserWarning, match="constant"):
+            report = autocorrelation(trace, max_lag, shuffle_seed=4, use_energy=use_energy)
+        shuffled = shuffle_frames(trace, 4)
+        values, shuffled_values = ((trace.energies, shuffled.energies) if use_energy
+                                   else (trace.activations, shuffled.activations))
+        per_unit = self.loop_autocorr(values, max_lag)
+        included = ~np.isnan(per_unit[:, 0])
+        assert report.per_unit.tobytes() == per_unit.tobytes()
+        assert (report.mean_autocorr.tobytes()
+                == np.nanmean(per_unit[included], axis=0).tobytes())
+        shuffled_mean = np.nanmean(self.loop_autocorr(shuffled_values, max_lag)[included], axis=0)
+        assert report.shuffled_mean.tobytes() == shuffled_mean.tobytes()
+
+    @pytest.mark.parametrize("n_frames", FRAMES)
+    def test_adjacent_correlation(self, n_frames):
+        trace, topo = self.setup(n_frames)
+        report = adjacent_correlation(trace, topo)
+        expected = np.array([pearson_one_pair(trace.energies[:, i], trace.energies[:, j])
+                             for i, j in adjacent_pairs(topo)])
+        assert report.pair_correlations.tobytes() == expected.tobytes()
+        assert report.mean_r == float(np.nanmean(expected))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 20])
+    @pytest.mark.parametrize("n_frames", FRAMES)
+    def test_cluster_locality(self, n_frames, k):
+        trace, topo = self.setup(n_frames)
+        dist = pairwise_distances(topo)
+        iu, ju = np.triu_indices(k, 1)
+        total = 0.0
+        for energies in trace.energies:
+            top = np.argsort(-energies, kind="stable")[:k]
+            total += dist[top[iu], top[ju]].mean() if k > 1 else 0.0
+        value = cluster_locality(trace, topo, k)
+        assert type(value) is float
+        assert value == total / n_frames
 
 
 class TestReports:

@@ -936,6 +936,24 @@ class TestOutOfRangeFlags:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
+        ["activate", "--bar", "horizontal", "--origin", "5,5"],
+        ["activate", "--bar", "horizontal", "--crop", "0,0,2,2"],
+        ["activate", "--probe", "0", "--resize-width", "8"],
+        ["analyze", "--mode", "adjacency", "--compare-model", "MODEL"],
+    ], ids=lambda flags: " ".join(flags[-2:]))
+    def test_flag_that_does_not_apply_exits_1(self, tmp_path, model_dir, trace_dir, capsys,
+                                              flags):
+        # Each flag is valid and the inputs are good, so ignoring the flag would exit 0.
+        flags = [str(model_dir) if flag == "MODEL" else flag for flag in flags]
+        inputs = ["--model", str(model_dir)]
+        if flags[0] == "analyze":
+            inputs += ["--trace", str(trace_dir)]
+        out = tmp_path / "out"
+        assert main(flags + inputs + ["--out", str(out)]) == 1
+        assert f"argument {flags[-2]}: applies only with --" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
         ["activate", "--probe", "16"],
         ["activate", "--bar", "vertical", "--bar-thickness", "6"],
         ["analyze", "--mode", "locality", "--k", "17"],

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topica.activation import ActivationTrace, relabel_trace
 from topica.errors import BadDimensions, BadPermutation
 from topica.topography import (
     Topography,
@@ -135,8 +134,6 @@ def test_bad_permutation_rejected():
 PERMUTATION_CALLERS = {
     "Topography": lambda perm: Topography(width=2, height=2, radius=0, permutation=perm),
     "apply_permutation": lambda perm: apply_permutation(build_topography(2, 2, 0), perm),
-    "relabel_trace": lambda perm: relabel_trace(
-        ActivationTrace(np.ones((3, 4)), 24.0, "0" * 64), perm),
 }
 
 
