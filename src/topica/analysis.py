@@ -13,6 +13,8 @@ chance control:
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -25,7 +27,8 @@ from .topography import Topography, adjacent_pairs, pairwise_distances
 
 # Random relabelings drawn by a permutation test unless told otherwise.
 N_PERMUTATIONS = 10000
-PERMUTATION_BLOCK = 1024    # permutation draws gathered per block
+PERMUTATION_BLOCK = 1024    # permutation draws per block, each block with its own stream
+LOCALITY_BLOCK = 1 << 18    # top-k pair distances gathered per block of frames
 
 
 @dataclass(eq=False)
@@ -149,9 +152,63 @@ def adjacent_correlation(trace: ActivationTrace, topo: Topography) -> AdjacencyR
                            mean_r=float(_nanmean(correlations)))
 
 
+def _usable_cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:    # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_threads(function, items, n_threads: int) -> list:
+    """[function(item) for item in items], on `n_threads` threads.
+
+    The calling thread is one of them, so a single thread runs serially;
+    thread w takes items w, w + n_threads, w + 2 n_threads and so on. The
+    first exception raised is raised again here once every thread has
+    finished.
+    """
+    results = [None] * len(items)
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(offset, len(items), n_threads):
+                results[i] = function(items[i])
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, n_threads)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _relabelings(rng: np.random.Generator, n_draws: int, n_pooled: int, n_a: int) -> np.ndarray:
+    """(n_draws, n_pooled) orders of the pooled values; the first `n_a`
+    columns of each row are a uniform random `n_a`-subset, group A.
+
+    A row's subset holds the indices of its `n_a` smallest iid uniform
+    keys, so every subset of that size is equally likely.
+    """
+    return np.argpartition(rng.random((n_draws, n_pooled)), n_a - 1, axis=1)
+
+
 def permutation_test(group_a: np.ndarray, group_b: np.ndarray, n_permutations: int = N_PERMUTATIONS,
                      seed: int = 0) -> PermutationResult:
     """Two-sided test of mean difference by random relabeling.
+
+    Each relabeling puts a uniform random subset of the pooled values, of
+    group A's size, in group A: an exact Monte Carlo permutation test.
+    Draws come in blocks of PERMUTATION_BLOCK, block i from the i-th child
+    of SeedSequence(seed), and the blocks run on every usable core; each
+    block's count of extreme draws is its own, so p does not depend on the
+    core count or on the order in which blocks finish.
 
     The p-value uses the add-one estimate (1 + #extreme) / (1 + N), so a
     sampled p can never reach 0. Comparisons of permuted against observed
@@ -166,22 +223,23 @@ def permutation_test(group_a: np.ndarray, group_b: np.ndarray, n_permutations: i
         raise ConfigError(f"n_permutations must be >= 1, got {n_permutations}")
     observed = abs(a.mean() - b.mean())
     pooled = np.concatenate([a, b])
-    rng = np.random.default_rng(seed)
-    # One rng.permutation per draw keeps the random stream of a draw-by-draw
-    # loop. Draws are gathered a block at a time; the mean over a contiguous
-    # row sums in the same order as the 1-D mean of that row.
-    block = np.empty((min(PERMUTATION_BLOCK, n_permutations), pooled.size), dtype=np.intp)
-    count = 0
-    for start in range(0, n_permutations, len(block)):
-        orders = block[:n_permutations - start]
-        for row in orders:
-            row[:] = rng.permutation(pooled.size)
+    starts = range(0, n_permutations, PERMUTATION_BLOCK)
+    streams = np.random.SeedSequence(seed).spawn(len(starts))
+
+    def count_extreme(block):
+        start, stream = block
+        n_draws = min(PERMUTATION_BLOCK, n_permutations - start)
+        orders = _relabelings(np.random.default_rng(stream), n_draws, pooled.size, a.size)
         diff = np.abs(pooled[orders[:, :a.size]].mean(axis=1)
                       - pooled[orders[:, a.size:]].mean(axis=1))
-        count += int(np.count_nonzero(diff >= observed - 1e-12))
+        return int(np.count_nonzero(diff >= observed - 1e-12))
+
+    # Drawing and partitioning keys release the GIL, and nothing here calls BLAS.
+    counts = _map_threads(count_extreme, list(zip(starts, streams)),
+                          min(_usable_cores(), len(starts)))
     return PermutationResult(
         observed_diff=observed,
-        p_value=(1 + count) / (1 + n_permutations),
+        p_value=(1 + sum(counts)) / (1 + n_permutations),
         n_permutations=n_permutations,
     )
 
@@ -214,7 +272,13 @@ def cluster_locality(trace: ActivationTrace, topo: Topography, k: int) -> float:
     dist = pairwise_distances(topo)
     iu, ju = np.triu_indices(k, 1)
     top = np.argsort(-trace.energies, axis=1, kind="stable")[:, :k]
-    per_frame = dist[top[:, iu], top[:, ju]].mean(axis=1)
+    # The pair distances are gathered a block of frames at a time, about
+    # LOCALITY_BLOCK of them; each frame's mean is over its own row.
+    per_frame = np.empty(trace.n_frames)
+    step = max(1, LOCALITY_BLOCK // iu.size)
+    for start in range(0, trace.n_frames, step):
+        rows = top[start:start + step]
+        per_frame[start:start + step] = dist[rows[:, iu], rows[:, ju]].mean(axis=1)
     # cumsum adds the frames in order, as a running total would.
     return float(np.cumsum(per_frame)[-1] / trace.n_frames)
 

@@ -2,11 +2,12 @@
 
 Every command is deterministic given its config, its seed and the BLAS
 thread count: rerunning a command with the same three writes
-bit-identical files. Inputs are never mutated and all outputs land under
-the directory (or file path) named by --out. Every command builds its
-output in a temporary sibling (a directory, or render's montage file)
-and moves it into place only on success, replacing an existing --out as
-a whole.
+bit-identical files. Given the same whitening, training is bit-identical
+across thread counts; the whitening fit is not. Inputs are never mutated
+and all outputs land under the directory (or file path) named by --out.
+Every command builds its output in a temporary sibling (a directory, or
+render's montage file) and moves it into place only on success, replacing
+an existing --out as a whole.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ INPUT_ARGS = ("images", "config", "model", "frames", "trace", "compare", "compar
 # Per command, flags that apply only with another of its flags; all default to None.
 _FLAG_NEEDS = {"activate": {"origin": "frames", "crop": "frames", "resize_width": "frames"},
                "analyze": {"compare_model": "compare"}}
+# analyze flags that apply only in some modes; all default to None.
+_FLAG_MODES = {"compare": ("adjacency",), "compare_model": ("adjacency",),
+               "shuffle_topo": ("adjacency", "locality")}
 
 
 def _parse_ints(text: str, name: str, layout: str) -> tuple:
@@ -449,14 +453,25 @@ def _replacing_output(args, directory=True):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+def _refuse_flags_that_do_not_apply(args) -> None:
+    """Raise ConfigError, naming the flag, for a flag given where it does not apply."""
+    wrong = []
+    if args.command == "analyze":
+        wrong += [(name, "--mode " + " or ".join(modes)) for name, modes in _FLAG_MODES.items()
+                  if args.mode not in modes]
+    wrong += [(name, f"--{needed}") for name, needed in _FLAG_NEEDS.get(args.command, {}).items()
+              if getattr(args, needed) is None]
+    for name, condition in wrong:
+        if getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(f"argument {flag}: applies only with {condition}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for name, needed in _FLAG_NEEDS.get(args.command, {}).items():
-            if getattr(args, name) is not None and getattr(args, needed) is None:
-                flag = "--" + name.replace("_", "-")
-                raise ConfigError(f"argument {flag}: applies only with --{needed}")
+        _refuse_flags_that_do_not_apply(args)
         if args.command == "render":
             return args.func(args)
         with _replacing_output(args) as out:

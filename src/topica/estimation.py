@@ -157,25 +157,29 @@ class BasisModel:
         )
 
 
-def _kernel_work(n_samples: int, n_units: int) -> np.ndarray:
-    """Scratch for `tica_objective` and `tica_gradient` on batches of at
-    most `n_samples` rows: three (min(CHUNK, n_samples), n_units) buffers."""
-    return np.empty((3, min(CHUNK, n_samples), n_units))
+def _kernel_work(n_units: int, dims: int) -> tuple:
+    """Scratch for `tica_objective` and `tica_gradient`: three (CHUNK, n_units)
+    buffers for a block's responses, energies and pooled energies, and a
+    (CHUNK, dims) buffer for the samples of a shorter block, padded with zeros."""
+    return (*np.empty((3, CHUNK, n_units)), np.empty((CHUNK, dims)))
 
 
 def _pooled_energy(filters: np.ndarray, batch: np.ndarray, topo: Topography,
-                   epsilon: float, gradient: bool, work: np.ndarray | None):
+                   epsilon: float, gradient: bool, work: tuple | None):
     """The kernel behind `tica_objective` and `tica_gradient`.
 
     Walks the whitened (T, k) batch in blocks of CHUNK rows through the
-    three (CHUNK, n) buffers of `work`, or of a `_kernel_work` allocated
-    for this call when `work` is None. Per block: responses
+    buffers of `work`, or of a `_kernel_work` allocated for this call when
+    `work` is None. Per block: responses
     y = z W^T, pooled energies u = (y * y) h, then sqrt(epsilon + u) in
     place. Returns the mean over samples of sum_i sqrt(epsilon + u_i) or,
     with `gradient`, of (y(t) * (G'(u(t)) h))^T z_t with
     G'(u) = -1 / (2 sqrt(epsilon + u)), summed block by block in row
     order. At radius 0, h is the identity and both products with it are
-    skipped.
+    skipped. The one product that sums over rows, (y * G'(u) h)^T z, always
+    runs over CHUNK rows: a shorter last block is padded with zero rows,
+    which add exactly 0. Over fewer rows the BLAS can take a path whose
+    summation order depends on the thread count.
     """
     filters = np.asarray(filters, dtype=np.float64)
     batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
@@ -185,8 +189,8 @@ def _pooled_energy(filters: np.ndarray, batch: np.ndarray, topo: Topography,
     if batch.shape[-1] != k:
         raise DimensionMismatch(f"samples have {batch.shape[-1]} dims, filters expect {k}")
     if work is None:
-        work = _kernel_work(batch.shape[0], n)
-    responses, energies, pooled = work
+        work = _kernel_work(n, k)
+    responses, energies, pooled, padded = work
     pooling = topo.radius > 0
     if not pooling:
         pooled = energies
@@ -209,6 +213,11 @@ def _pooled_energy(filters: np.ndarray, batch: np.ndarray, topo: Topography,
             if pooling:
                 np.matmul(u, topo.h, out=e)    # h is symmetric
             e *= y
+            if len(z) < CHUNK:
+                energies[len(z):] = 0.0
+                padded[:len(z)] = z
+                padded[len(z):] = 0.0
+                e, z = energies, padded
             np.matmul(e.T, z, out=block_grad)
             total += block_grad
         else:
@@ -217,19 +226,19 @@ def _pooled_energy(filters: np.ndarray, batch: np.ndarray, topo: Topography,
 
 
 def tica_objective(filters: np.ndarray, batch: np.ndarray, topo: Topography,
-                   epsilon: float, work: np.ndarray | None = None) -> float:
+                   epsilon: float, work: tuple | None = None) -> float:
     """Mean pooled-energy score of a whitened batch; higher is better.
 
     J = (1/T) sum_t sum_i G(u_i(t)) with G(u) = -sqrt(epsilon + u) and
     u_i(t) the neighborhood-pooled squared responses of sample t.
-    `work`, a float64 array of shape (3, at least min(CHUNK, T), n), is
-    used as scratch in place of one allocated for the call.
+    `work`, the buffers of `_kernel_work(n, k)`, is used as scratch in
+    place of ones allocated for the call.
     """
     return float(-_pooled_energy(filters, batch, topo, epsilon, False, work))
 
 
 def tica_gradient(filters: np.ndarray, batch: np.ndarray, topo: Topography,
-                  epsilon: float, work: np.ndarray | None = None) -> np.ndarray:
+                  epsilon: float, work: tuple | None = None) -> np.ndarray:
     """Exact gradient of `tica_objective` with respect to the filters.
 
     Row i is (2/T) sum_t z_t (w_i . z_t) r_i(t) where
@@ -320,7 +329,7 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
 
     # One scratch for every pass: buffers allocated per call were returned
     # to the system and faulted in again on each call.
-    work = _kernel_work(n_samples, n)
+    work = _kernel_work(n, whitening.k)
     step = config.step0
     objective = tica_objective(filters, holdout, topo, config.epsilon, work)
     if not np.isfinite(objective):

@@ -40,7 +40,10 @@ META_FILE = "whitening.meta"
 # stay in cache, the BLAS packs one block at a time, and a fixed size keeps
 # the gradient's summation order independent of the batch size. Artifacts
 # are bit-identical for a given seed and BLAS thread count; at another
-# thread count the BLAS may sum a product in another order.
+# thread count the BLAS may sum a product in another order. Given the same
+# whitening, training is bit-identical across thread counts: the gradient
+# pads a shorter last block with zero rows, so its product that sums over
+# rows always runs over exactly CHUNK rows.
 CHUNK = 1024
 
 

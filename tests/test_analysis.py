@@ -1,11 +1,15 @@
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from topica import analysis
 from topica.activation import ActivationTrace, shuffle_frames
 from topica.analysis import (
+    PERMUTATION_BLOCK,
     adjacent_correlation,
     autocorrelation,
     cluster_locality,
@@ -200,19 +204,61 @@ class TestPermutationTest:
     @pytest.mark.parametrize("sizes, n_permutations", [
         ((1, 1), 7), ((3, 9), 1024), ((40, 35), 1025), ((112, 112), 2049),
     ])
-    def test_blocks_match_one_draw_at_a_time(self, rng, sizes, n_permutations):
+    def test_matches_serial_loop_over_block_streams(self, rng, sizes, n_permutations):
+        # Block i draws its keys from the i-th child of SeedSequence(seed);
+        # group A of a draw is the a.size values with the smallest keys.
         a = rng.standard_normal(sizes[0]) + 0.2
         b = rng.standard_normal(sizes[1])
         pooled = np.concatenate([a, b])
         observed = abs(a.mean() - b.mean())
-        draws = np.random.default_rng(5)
+        n_blocks = -(-n_permutations // PERMUTATION_BLOCK)
         count = 0
-        for _ in range(n_permutations):
-            order = draws.permutation(pooled.size)
-            diff = abs(pooled[order[:a.size]].mean() - pooled[order[a.size:]].mean())
-            count += diff >= observed - 1e-12
+        for i, stream in enumerate(np.random.SeedSequence(5).spawn(n_blocks)):
+            n_draws = min(PERMUTATION_BLOCK, n_permutations - i * PERMUTATION_BLOCK)
+            for keys in np.random.default_rng(stream).random((n_draws, pooled.size)):
+                in_a = np.zeros(pooled.size, dtype=bool)
+                in_a[np.argsort(keys)[:a.size]] = True
+                diff = abs(pooled[in_a].mean() - pooled[~in_a].mean())
+                count += diff >= observed - 1e-12
         result = permutation_test(a, b, n_permutations=n_permutations, seed=5)
         assert result.p_value == (1 + count) / (1 + n_permutations)
+
+    @pytest.mark.parametrize("cores", [2, 3, 8])
+    def test_p_does_not_depend_on_the_core_count(self, rng, monkeypatch, cores):
+        a = rng.standard_normal(60) + 0.3
+        b = rng.standard_normal(50)
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(analysis.threading, "Thread", CountedThread)
+        monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {0})
+        serial = permutation_test(a, b, n_permutations=5000, seed=6)
+        assert started == []
+        monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        threaded = permutation_test(a, b, n_permutations=5000, seed=6)
+        assert len(started) == min(cores, 5) - 1    # the caller is the first worker
+        assert threaded.p_value == serial.p_value
+
+    def test_worker_exception_reaches_the_caller(self):
+        def fail_on_three(item):
+            if item == 3:
+                raise MemoryError("no room")
+            return item
+        assert analysis._map_threads(fail_on_three, [0, 1, 2], 2) == [0, 1, 2]
+        with pytest.raises(MemoryError, match="no room"):
+            analysis._map_threads(fail_on_three, [0, 1, 2, 3, 4], 2)
+
+    def test_relabelings_are_uniform_subsets(self):
+        # Each of the 6 two-element subsets of 4 values comes up 1/6 of the time.
+        orders = analysis._relabelings(np.random.default_rng(8), 60000, 4, 2)
+        groups = np.sort(orders[:, :2], axis=1)
+        subsets, counts = np.unique(groups, axis=0, return_counts=True)
+        assert len(subsets) == 6
+        npt.assert_allclose(counts / 60000, 1 / 6, atol=0.01)
 
 
 class TestClusterLocality:
@@ -271,6 +317,24 @@ class TestClusterLocality:
         relabeled = make_trace(trace.activations[:, np.argsort(perm)])
         npt.assert_allclose(cluster_locality(trace, shuffled, 4),
                             cluster_locality(relabeled, topo, 4), atol=1e-12)
+
+    def test_all_units_gathered_in_blocks_of_frames(self):
+        # k = n on 300 frames of 144 units is 10296 pairs per frame: 74 MB of
+        # distances and indices gathered at once, against 16 MB in blocks.
+        topo = build_topography(12, 12, 1)
+        trace = make_trace(np.random.default_rng(9).standard_normal((300, 144)))
+        dist = pairwise_distances(topo)
+        iu, ju = np.triu_indices(144, 1)
+        top = np.argsort(-trace.energies, axis=1, kind="stable")
+        expected = float(np.cumsum(dist[top[:, iu], top[:, ju]].mean(axis=1))[-1] / 300)
+        tracemalloc.start()
+        try:
+            value = cluster_locality(trace, topo, 144)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+        assert peak < 16 * 2**20
 
 
 class TestMatrixFormMatchesLoops:

@@ -953,6 +953,25 @@ class TestOutOfRangeFlags:
         assert f"argument {flags[-2]}: applies only with --" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, flag, value, modes", [
+        pytest.param(mode, flag, value, modes, id=f"{mode} {flag}")
+        for mode, flag, value, modes in [
+            ("autocorr", "--compare", "TRACE", "adjacency"),
+            ("locality", "--compare", "TRACE", "adjacency"),
+            ("autocorr", "--compare-model", "MODEL", "adjacency"),
+            ("locality", "--compare-model", "MODEL", "adjacency"),
+            ("autocorr", "--shuffle-topo", "3", "adjacency or locality"),
+        ]])
+    def test_analyze_flag_outside_its_modes_exits_1(self, tmp_path, model_dir, trace_dir,
+                                                    capsys, mode, flag, value, modes):
+        # Good inputs, so ignoring the flag would exit 0.
+        value = {"TRACE": str(trace_dir), "MODEL": str(model_dir)}.get(value, value)
+        out = tmp_path / "out"
+        assert main(["analyze", "--mode", mode, "--trace", str(trace_dir), "--model",
+                     str(model_dir), flag, value, "--out", str(out)]) == 1
+        assert f"argument {flag}: applies only with --mode {modes}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         ["activate", "--probe", "16"],
         ["activate", "--bar", "vertical", "--bar-thickness", "6"],

@@ -22,6 +22,7 @@ from topica.estimation import (
     STEP_FLOOR,
     BasisModel,
     TrainConfig,
+    _kernel_work,
     check_model_pairing,
     ica_train,
     load_basis,
@@ -32,7 +33,7 @@ from topica.estimation import (
     tica_objective,
     train,
 )
-from topica.matrixio import read_meta
+from topica.matrixio import read_meta, write_matrix
 from topica.topography import Topography, build_topography, shuffle_topography
 from topica.whitening import whiten
 
@@ -85,6 +86,20 @@ def test_kernel_matches_unchunked_reference(rng, rows, lattice):
     ours = tica_gradient(filters, batch, topo, 0.005)
     assert np.linalg.norm(ours - gradient) <= 1e-12 * np.linalg.norm(gradient)
     assert abs(tica_objective(filters, batch, topo, 0.005) - objective) <= 1e-12 * abs(objective)
+
+
+def test_stale_scratch_does_not_reach_the_gradient(rng):
+    # The padded rows of a short block are zeroed, whatever the scratch held.
+    topo = LATTICES["radius1"]
+    filters = symmetric_orthonormalize(rng.standard_normal((36, 36)))
+    batch = rng.standard_normal((5, 36))
+    clean, stale = _kernel_work(36, 36), _kernel_work(36, 36)
+    for buffer in clean:
+        buffer.fill(0.0)
+    for buffer in stale:
+        buffer.fill(np.nan)
+    npt.assert_array_equal(tica_gradient(filters, batch, topo, 0.005, stale),
+                           tica_gradient(filters, batch, topo, 0.005, clean))
 
 
 def test_radius_zero_skip_matches_identity_pooling(rng):
@@ -352,6 +367,36 @@ class TestTrainMemory:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, check=True)
         assert proc.stdout == "False\n"
+
+
+class TestThreadCount:
+    # Trains on one saved whitening in a process per BLAS thread count and
+    # prints the filters' bytes as hex.
+    TRAIN = ("import sys\n"
+             "from topica import PatchSet, TrainConfig, build_topography, load_whitening, train\n"
+             "from topica.matrixio import read_matrix\n"
+             "patches = PatchSet(read_matrix(sys.argv[1]), 9)\n"
+             "model = train(patches, load_whitening(sys.argv[2]), build_topography(8, 8, 1),\n"
+             "              TrainConfig(max_iters=3, tol=0.0))\n"
+             "print(model.filters.tobytes().hex())\n")
+
+    def test_training_bits_do_not_depend_on_it(self, tmp_path):
+        # 1990 patches leave 1592 training rows: one block of CHUNK and a
+        # partial block of 568 rows. Unpadded, OpenBLAS 0.3.31 sums that
+        # block's gradient product in another order at 1 and at 2 threads.
+        data = np.random.default_rng(0).standard_normal((1990, 81)) ** 3
+        write_matrix(tmp_path / "patches.ticm", data)
+        topica.save_whitening(topica.fit_whitening(topica.PatchSet(data, 9), 64), tmp_path)
+        filters = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.dirname(os.path.dirname(topica.__file__)))
+            proc = subprocess.run([sys.executable, "-c", self.TRAIN,
+                                   str(tmp_path / "patches.ticm"), str(tmp_path)],
+                                  capture_output=True, text=True, env=env, check=True)
+            filters.append(proc.stdout)
+        assert len(filters[0]) == 2 * 64 * 64 * 8 + 1
+        assert filters[0] == filters[1]
 
 
 class TestPersistence:
