@@ -28,6 +28,7 @@ from .topography import Topography, adjacent_pairs, pairwise_distances
 # Random relabelings drawn by a permutation test unless told otherwise.
 N_PERMUTATIONS = 10000
 PERMUTATION_BLOCK = 1024    # permutation draws per block, each block with its own stream
+PERMUTATION_KEYS = 1 << 16  # relabeling keys drawn at once, in whole draws of a block
 LOCALITY_BLOCK = 1 << 18    # top-k pair distances gathered per block of frames
 
 
@@ -208,7 +209,10 @@ def permutation_test(group_a: np.ndarray, group_b: np.ndarray, n_permutations: i
     Draws come in blocks of PERMUTATION_BLOCK, block i from the i-th child
     of SeedSequence(seed), and the blocks run on every usable core; each
     block's count of extreme draws is its own, so p does not depend on the
-    core count or on the order in which blocks finish.
+    core count or on the order in which blocks finish. A block draws its
+    keys about PERMUTATION_KEYS at a time, in whole draws, from its one
+    generator, which fills them in stream order: the draws are those of
+    one array per block, but a thread holds a bounded slice of them.
 
     The p-value uses the add-one estimate (1 + #extreme) / (1 + N), so a
     sampled p can never reach 0. Comparisons of permuted against observed
@@ -226,13 +230,19 @@ def permutation_test(group_a: np.ndarray, group_b: np.ndarray, n_permutations: i
     starts = range(0, n_permutations, PERMUTATION_BLOCK)
     streams = np.random.SeedSequence(seed).spawn(len(starts))
 
+    step = max(1, PERMUTATION_KEYS // pooled.size)
+
     def count_extreme(block):
         start, stream = block
+        rng = np.random.default_rng(stream)
         n_draws = min(PERMUTATION_BLOCK, n_permutations - start)
-        orders = _relabelings(np.random.default_rng(stream), n_draws, pooled.size, a.size)
-        diff = np.abs(pooled[orders[:, :a.size]].mean(axis=1)
-                      - pooled[orders[:, a.size:]].mean(axis=1))
-        return int(np.count_nonzero(diff >= observed - 1e-12))
+        extreme = 0
+        for done in range(0, n_draws, step):
+            orders = _relabelings(rng, min(step, n_draws - done), pooled.size, a.size)
+            diff = np.abs(pooled[orders[:, :a.size]].mean(axis=1)
+                          - pooled[orders[:, a.size:]].mean(axis=1))
+            extreme += int(np.count_nonzero(diff >= observed - 1e-12))
+        return extreme
 
     # Drawing and partitioning keys release the GIL, and nothing here calls BLAS.
     counts = _map_threads(count_extreme, list(zip(starts, streams)),

@@ -33,12 +33,21 @@ HEATMAP_FILE = "heatmaps.pgm"
 RECON_FILE = "recon.pgm"
 # Path arguments a command reads; its --out may not be or contain any of them.
 INPUT_ARGS = ("images", "config", "model", "frames", "trace", "compare", "compare_model")
-# Per command, flags that apply only with another of its flags; all default to None.
-_FLAG_NEEDS = {"activate": {"origin": "frames", "crop": "frames", "resize_width": "frames"},
+# Per command, flags that apply only with another of its flags; all parse to None.
+_FLAG_NEEDS = {"activate": {"origin": "frames", "crop": "frames", "resize_width": "frames",
+                            "bar_frames": "bar", "bar_thickness": "bar"},
                "analyze": {"compare_model": "compare"}}
-# analyze flags that apply only in some modes; all default to None.
+# analyze flags that apply only in some modes; all parse to None.
 _FLAG_MODES = {"compare": ("adjacency",), "compare_model": ("adjacency",),
-               "shuffle_topo": ("adjacency", "locality")}
+               "shuffle_topo": ("adjacency", "locality"), "k": ("locality",),
+               "max_lag": ("autocorr",), "shuffle_baseline": ("autocorr",),
+               "energy": ("autocorr",), "permutations": ("adjacency",), "seed": ("adjacency",)}
+# Per command, the value a flag above takes when it applies and is not given.
+# The parser leaves them None, so that `_refuse_flags_that_do_not_apply` sees
+# which flags were given; `main` fills them in after that check.
+_FLAG_DEFAULTS = {"activate": {"bar_frames": 16, "bar_thickness": 1},
+                  "analyze": {"k": 5, "max_lag": 10, "shuffle_baseline": 0, "energy": False,
+                              "permutations": analysis.N_PERMUTATIONS, "seed": 0}}
 
 
 def _parse_ints(text: str, name: str, layout: str) -> tuple:
@@ -170,6 +179,10 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
 
 
 def cmd_train(args, out) -> int:
+    """Fit the whitening, then train on the patches whitened in place: the
+    pixel rows are dropped once whitened, so the patch buffer is the only
+    (n_patches, ...) array held through training, and training reorders
+    its rows in place."""
     overrides = {name: getattr(args, name) for name in _FIELD_PARSERS}
     config = load_run_config(args.config, overrides)
     patches = images.extract_patches_from_images(
@@ -177,7 +190,9 @@ def cmd_train(args, out) -> int:
         config.patch_side, config.n_patches, config.seed)
     model_w = whit.fit_whitening(patches, config.k)
     topo = build_topography(config.map_width, config.map_height, config.radius)
-    model_b = estimation.train(patches, model_w, topo, config)
+    rows = whit.whiten(model_w, patches, in_place=True)
+    del patches    # its rows now hold whitened values, not pixels
+    model_b = estimation.train(rows, model_w, topo, config)
     whit.save_whitening(model_w, out)
     estimation.save_basis(model_b, out)
     last = model_b.training_log[-1]
@@ -383,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="left,top,width,height applied to every frame")
     p_act.add_argument("--resize-width", dest="resize_width", type=_int_at_least(1))
     p_act.add_argument("--frame-rate", dest="frame_rate", type=_positive_float)
-    p_act.add_argument("--bar-frames", dest="bar_frames", type=_int_at_least(1), default=16)
-    p_act.add_argument("--bar-thickness", dest="bar_thickness", type=_int_at_least(1), default=1)
+    p_act.add_argument("--bar-frames", dest="bar_frames", type=_int_at_least(1))
+    p_act.add_argument("--bar-thickness", dest="bar_thickness", type=_int_at_least(1))
     p_act.set_defaults(func=cmd_activate)
 
     p_an = sub.add_parser("analyze", help="temporal/spatial statistics of a trace")
@@ -392,21 +407,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--out", required=True)
     p_an.add_argument("--mode", required=True, choices=["autocorr", "adjacency", "locality"])
     p_an.add_argument("--model", help="model directory (topography source)")
-    p_an.add_argument("--max-lag", dest="max_lag", type=_int_at_least(1), default=10)
+    p_an.add_argument("--max-lag", dest="max_lag", type=_int_at_least(1))
     p_an.add_argument("--shuffle-baseline", dest="shuffle_baseline", type=_int_at_least(0),
-                      default=0,
                       help="seed for the frame-shuffled autocorrelation control")
-    p_an.add_argument("--energy", action="store_true",
+    p_an.add_argument("--energy", action="store_true", default=None,
                       help="autocorrelation of energies instead of activations")
     p_an.add_argument("--compare", help="second trace directory for the permutation test")
     p_an.add_argument("--compare-model", dest="compare_model",
                       help="model directory for the second trace's topography")
     p_an.add_argument("--shuffle-topo", dest="shuffle_topo", type=_int_at_least(0),
                       help="seed to shuffle unit positions before adjacency")
-    p_an.add_argument("--permutations", type=_int_at_least(1), default=analysis.N_PERMUTATIONS)
-    p_an.add_argument("--k", type=_int_at_least(1), default=5,
-                      help="cluster size for locality mode")
-    p_an.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_an.add_argument("--permutations", type=_int_at_least(1))
+    p_an.add_argument("--k", type=_int_at_least(1), help="cluster size for locality mode")
+    p_an.add_argument("--seed", type=_int_at_least(0))
     p_an.set_defaults(func=cmd_analyze)
 
     p_r = sub.add_parser("render", help="montage of all basis images on the lattice")
@@ -472,6 +485,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _refuse_flags_that_do_not_apply(args)
+        for name, value in _FLAG_DEFAULTS.get(args.command, {}).items():
+            if getattr(args, name) is None:
+                setattr(args, name, value)
         if args.command == "render":
             return args.func(args)
         with _replacing_output(args) as out:

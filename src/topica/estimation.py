@@ -270,7 +270,7 @@ def symmetric_orthonormalize(filters: np.ndarray) -> np.ndarray:
     return inv_root @ filters
 
 
-def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
+def train(patches: PatchSet | np.ndarray, whitening: WhiteningModel, topo: Topography,
           config: TrainConfig | None = None) -> BasisModel:
     """Estimate the filter bank on whitened patches by full-batch gradient ascent.
 
@@ -278,8 +278,11 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
 
     Parameters
     ----------
-    patches : PatchSet
-        Training patches (pixel space); whitened internally.
+    patches : PatchSet or ndarray
+        Training patches in pixel space, as a PatchSet, which is whitened
+        into a new array and never modified; or the (n_samples, k) rows
+        that `whiten(whitening, ...)` returned, which training reorders in
+        place, so the caller gives them up.
     whitening : WhiteningModel
         Transform fitted on the same data distribution. Its dimension k
         must equal the number of lattice units.
@@ -299,13 +302,19 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
     """
     if config is None:
         config = TrainConfig()
-    z = whiten(whitening, patches)
-    n_samples = z.shape[0]
     n = topo.n_units
     if whitening.k != n:
         raise DimensionMismatch(
             f"whitening keeps k={whitening.k} components but the lattice has {n} units"
         )
+    if isinstance(patches, PatchSet):
+        z = whiten(whitening, patches)
+    elif patches.ndim != 2 or patches.shape[1] != whitening.k:
+        raise DimensionMismatch(f"whitened rows must have shape (n, {whitening.k}), "
+                                f"got {patches.shape}")
+    else:
+        z = patches
+    n_samples = z.shape[0]
 
     init_ss, holdout_ss = np.random.SeedSequence(config.seed).spawn(2)
     filters = symmetric_orthonormalize(np.random.default_rng(init_ss).standard_normal((n, n)))
@@ -320,8 +329,8 @@ def train(patches: PatchSet, whitening: WhiteningModel, topo: Topography,
         train_idx = holdout_idx
     holdout = z[holdout_idx]
     # Move the training rows to the front of z, which whiten made for this
-    # call, block by block. train_idx is increasing, so train_idx[j] >= j and
-    # no block reads a row that an earlier block wrote.
+    # call or the caller gave up, block by block. train_idx is increasing,
+    # so train_idx[j] >= j and no block reads a row that an earlier block wrote.
     for start in range(0, train_idx.size, CHUNK):
         block = train_idx[start:start + CHUNK]
         z[start:start + block.size] = z[block]

@@ -30,6 +30,7 @@ LUMINANCE_WEIGHTS = (0.299, 0.587, 0.114)
 DEFAULT_FRAME_RATE = 24.0
 FRAME_NAME_FORMAT = "frame_{:06d}.pgm"
 SEQUENCE_META_NAME = "sequence.meta"
+CROP_BLOCK_PIXELS = 1 << 14    # pixels of random crops gathered and centred at once
 
 
 @dataclass
@@ -126,18 +127,25 @@ def _patch_rows(patch_side: int, count: int) -> np.ndarray:
 
 def _crop_patches(img: GrayImage, side: int, out: np.ndarray, seed: int) -> None:
     """Fill the rows of `out` with side x side crops of `img`, flattened
-    row-major, at uniformly random locations drawn from `seed`.
+    row-major, at uniformly random locations drawn from `seed`, each with
+    its own mean subtracted.
 
-    Crops are copied one row at a time, so no temporary grows with the
-    number of rows.
+    Crops are gathered and centred in blocks of at most CROP_BLOCK_PIXELS
+    pixels (one row at least), so no temporary grows with the number of
+    rows; a row's mean is over that row alone, whatever its block.
     """
     if side > min(img.width, img.height):
         raise PatchTooLarge(f"patch_side {side} exceeds image size {img.width}x{img.height}")
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, img.height - side + 1, size=len(out))
     cols = rng.integers(0, img.width - side + 1, size=len(out))
-    for i in range(len(out)):
-        out[i] = img.values[rows[i]:rows[i] + side, cols[i]:cols[i] + side].reshape(-1)
+    windows = np.lib.stride_tricks.sliding_window_view(img.values, (side, side))
+    step = max(1, CROP_BLOCK_PIXELS // (side * side))
+    for start in range(0, len(out), step):
+        pick = slice(start, start + step)
+        block = out[pick]
+        block[:] = windows[rows[pick], cols[pick]].reshape(len(block), -1)
+        block -= block.mean(axis=1, keepdims=True)
 
 
 def extract_random_patches(img: GrayImage, patch_side: int, count: int, seed: int) -> PatchSet:
@@ -148,7 +156,6 @@ def extract_random_patches(img: GrayImage, patch_side: int, count: int, seed: in
     """
     out = _patch_rows(patch_side, count)
     _crop_patches(img, patch_side, out, seed)
-    out -= out.mean(axis=1, keepdims=True)
     return PatchSet(out, patch_side, per_patch_mean_removed=True)
 
 
@@ -175,7 +182,6 @@ def extract_patches_from_images(images, patch_side: int, count: int, seed: int) 
             break
         _crop_patches(img, patch_side, out[start:start + n], per_image_seed(seed, i))
         start += n
-    out -= out.mean(axis=1, keepdims=True)
     return PatchSet(out, patch_side, per_patch_mean_removed=True)
 
 

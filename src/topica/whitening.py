@@ -137,25 +137,45 @@ def fit_whitening(patches: PatchSet, k: int) -> WhiteningModel:
     )
 
 
-def whiten(model: WhiteningModel, patches: PatchSet) -> np.ndarray:
+def whiten(model: WhiteningModel, patches: PatchSet, in_place: bool = False) -> np.ndarray:
     """Project patches into the whitened space, one row per sample.
 
-    Equal, bit for bit, to `patches.data @ model.transform.T`, but written
-    into one array CHUNK rows at a time, so the BLAS packs one block and
-    not the whole batch. The last block is the last CHUNK rows and may
-    overlap the one before it: a product of fewer rows can take another
-    BLAS path, with other bits.
+    Equal, bit for bit, to `patches.data @ model.transform.T`, but computed
+    CHUNK rows at a time, so the BLAS packs one block and not the whole
+    batch. The last block is the last CHUNK rows and may overlap the one
+    before it: a product of fewer rows can take another BLAS path, with
+    other bits.
+
+    By default the rows go into a new array and `patches` is not modified.
+    With `in_place`, they overwrite `patches.data` instead: row i's k values
+    go into its flat slots i*k .. i*k + k - 1, and the (n, k) view of those
+    first n*k slots is returned. The caller gives up the patches, whose
+    rows are no longer pixels, and holds one array in place of two.
+    `patches.data` must then be C-contiguous. As k <= n_pixels, each
+    forward block overwrites only slots of rows up to its own, which it
+    has read; the last block, whose input an earlier block may overwrite,
+    is computed first.
     """
     if patches.n_pixels != model.n_pixels:
         raise DimensionMismatch(
             f"patches have {patches.n_pixels} pixels, model expects {model.n_pixels}"
         )
     data = patches.data
-    n_samples = data.shape[0]
-    z = np.empty((n_samples, model.k))
+    n_samples, k = data.shape[0], model.k
+    if not in_place:
+        z = np.empty((n_samples, k))
+    elif data.flags.c_contiguous:
+        z = data.reshape(-1)[:n_samples * k].reshape(n_samples, k)
+    else:
+        raise ValueError("whitening in place needs C-contiguous patch data")
     transform_t = model.transform.T
-    for start in [*range(0, n_samples - CHUNK, CHUNK), max(n_samples - CHUNK, 0)]:
+    last = max(n_samples - CHUNK, 0)
+    last_rows = data[last:] @ transform_t
+    for start in range(0, n_samples - CHUNK, CHUNK):
+        # In place, the output block overlaps its own input rows; numpy
+        # computes such a product as if the operands did not overlap.
         np.matmul(data[start:start + CHUNK], transform_t, out=z[start:start + CHUNK])
+    z[last:] = last_rows
     return z
 
 

@@ -10,6 +10,7 @@ from topica import analysis
 from topica.activation import ActivationTrace, shuffle_frames
 from topica.analysis import (
     PERMUTATION_BLOCK,
+    PERMUTATION_KEYS,
     adjacent_correlation,
     autocorrelation,
     cluster_locality,
@@ -222,6 +223,45 @@ class TestPermutationTest:
                 count += diff >= observed - 1e-12
         result = permutation_test(a, b, n_permutations=n_permutations, seed=5)
         assert result.p_value == (1 + count) / (1 + n_permutations)
+
+    # With N pooled values a block draws PERMUTATION_KEYS // N rows of keys
+    # at a time: 109 at N = 600 (1024 = 9 * 109 + 43), 56 at N = 1152.
+    @pytest.mark.parametrize("sizes, n_permutations", [
+        ((300, 300), 1024 + 109), ((300, 300), 1024 + 110), ((64, 1088), 2048),
+        ((3, 5), 1500),
+    ])
+    def test_matches_one_key_array_per_block(self, rng, sizes, n_permutations):
+        a = rng.standard_normal(sizes[0]) + 0.05
+        b = rng.standard_normal(sizes[1])
+        pooled = np.concatenate([a, b])
+        observed = abs(a.mean() - b.mean())
+        n_blocks = -(-n_permutations // PERMUTATION_BLOCK)
+        count = 0
+        for i, stream in enumerate(np.random.SeedSequence(9).spawn(n_blocks)):
+            n_draws = min(PERMUTATION_BLOCK, n_permutations - i * PERMUTATION_BLOCK)
+            keys = np.random.default_rng(stream).random((n_draws, pooled.size))
+            orders = np.argpartition(keys, a.size - 1, axis=1)
+            diff = np.abs(pooled[orders[:, :a.size]].mean(axis=1)
+                          - pooled[orders[:, a.size:]].mean(axis=1))
+            count += np.count_nonzero(diff >= observed - 1e-12)
+        result = permutation_test(a, b, n_permutations=n_permutations, seed=9)
+        assert result.p_value == (1 + count) / (1 + n_permutations)
+
+    def test_keys_held_per_thread_are_bounded(self, rng, monkeypatch):
+        # At N = 1152 a whole block's keys, their orders and the gathered
+        # groups took 18 MB; a slice of PERMUTATION_KEYS keys takes ~1.5 MB.
+        assert PERMUTATION_KEYS // 1152 < PERMUTATION_BLOCK
+        monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {0})
+        a = rng.standard_normal(576) + 0.1
+        b = rng.standard_normal(576)
+        permutation_test(a, b, n_permutations=8, seed=1)    # imports made on first use
+        tracemalloc.start()
+        try:
+            permutation_test(a, b, n_permutations=2 * PERMUTATION_BLOCK, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("cores", [2, 3, 8])
     def test_p_does_not_depend_on_the_core_count(self, rng, monkeypatch, cores):

@@ -879,28 +879,46 @@ print(json.dumps([maxrss_mb(["-c", "import topica.cli"]),
 """
 
 
+# Desk size: 20000 patches of 9x9 pixels whitened to 64 dimensions.
+DESK_PATCHES, DESK_PIXELS, DESK_K = 20000, 81, 64
+
+
+@pytest.fixture(scope="class")
+def desk_train_rise_mb(tmp_path_factory):
+    """How far the ru_maxrss of a desk-size `train` process rises above that
+    of a process that only imports topica.cli, in MB."""
+    tmp_path = tmp_path_factory.mktemp("desk")
+    images = tmp_path / "images"
+    images.mkdir()
+    for i in range(4):
+        write_image(images / f"leaves_{i}.pgm",
+                    topica.generate_dead_leaves(256, 256, 220, seed=i))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.path.dirname(os.path.dirname(topica.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _MAXRSS_DRIVER, "train",
+                           "--images", str(images), "--out", str(tmp_path / "model"),
+                           "--n-patches", str(DESK_PATCHES), "--max-iters", "1"],
+                          capture_output=True, text=True, env=env, check=True)
+    imported, trained = json.loads(proc.stdout)
+    return trained - imported
+
+
 class TestProcessMemory:
-    def test_train_rise_is_about_its_arrays(self, tmp_path):
-        # Desk size: 20000 patches of 9x9 pixels whitened to 64 dimensions.
+    # The margins cover the images, the held-out rows, the kernel scratch and
+    # one block's buffers.
+
+    def test_train_rise_is_about_its_arrays(self, desk_train_rise_mb):
         # Whitening all rows in one product would touch ~12 MB of OpenBLAS
-        # packing buffers and rise ~42.7 MB; in row blocks train rises
-        # ~31.3 MB. The margin covers the images, the held-out rows, the
-        # kernel scratch and one block's buffers.
-        images = tmp_path / "images"
-        images.mkdir()
-        for i in range(4):
-            write_image(images / f"leaves_{i}.pgm",
-                        topica.generate_dead_leaves(256, 256, 220, seed=i))
-        n_patches, n_pixels, k = 20000, 81, 64
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
-                   PYTHONPATH=os.path.dirname(os.path.dirname(topica.__file__)))
-        proc = subprocess.run([sys.executable, "-c", _MAXRSS_DRIVER, "train",
-                               "--images", str(images), "--out", str(tmp_path / "model"),
-                               "--n-patches", str(n_patches), "--max-iters", "1"],
-                              capture_output=True, text=True, env=env, check=True)
-        imported, trained = json.loads(proc.stdout)
-        arrays_mb = n_patches * (n_pixels + k) * 8 / 2**20
-        assert trained - imported < arrays_mb + 13
+        # packing buffers and rise ~42.7 MB; in row blocks into a second
+        # array train rose ~31.3 MB.
+        arrays_mb = DESK_PATCHES * (DESK_PIXELS + DESK_K) * 8 / 2**20
+        assert desk_train_rise_mb < arrays_mb + 13
+
+    def test_train_holds_one_patch_array(self, desk_train_rise_mb):
+        # The patches are whitened in their own buffer, so no (n, k) array is
+        # held beside the (n, p) one: ~22 MB in place of ~31.3 MB.
+        patches_mb = DESK_PATCHES * DESK_PIXELS * 8 / 2**20
+        assert desk_train_rise_mb < patches_mb + 13
 
 
 class TestOutOfRangeFlags:
@@ -939,6 +957,8 @@ class TestOutOfRangeFlags:
         ["activate", "--bar", "horizontal", "--origin", "5,5"],
         ["activate", "--bar", "horizontal", "--crop", "0,0,2,2"],
         ["activate", "--probe", "0", "--resize-width", "8"],
+        ["activate", "--probe", "0", "--bar-thickness", "6"],
+        ["activate", "--probe", "0", "--bar-frames", "4"],
         ["analyze", "--mode", "adjacency", "--compare-model", "MODEL"],
     ], ids=lambda flags: " ".join(flags[-2:]))
     def test_flag_that_does_not_apply_exits_1(self, tmp_path, model_dir, trace_dir, capsys,
@@ -961,14 +981,22 @@ class TestOutOfRangeFlags:
             ("autocorr", "--compare-model", "MODEL", "adjacency"),
             ("locality", "--compare-model", "MODEL", "adjacency"),
             ("autocorr", "--shuffle-topo", "3", "adjacency or locality"),
+            ("autocorr", "--k", "9", "locality"),
+            ("adjacency", "--k", "3", "locality"),
+            ("locality", "--max-lag", "3", "autocorr"),
+            ("adjacency", "--shuffle-baseline", "2", "autocorr"),
+            ("locality", "--energy", None, "autocorr"),
+            ("autocorr", "--permutations", "5", "adjacency"),
+            ("locality", "--seed", "3", "adjacency"),
         ]])
     def test_analyze_flag_outside_its_modes_exits_1(self, tmp_path, model_dir, trace_dir,
                                                     capsys, mode, flag, value, modes):
-        # Good inputs, so ignoring the flag would exit 0.
+        # Good inputs, so ignoring the flag would exit 0. --energy takes no value.
         value = {"TRACE": str(trace_dir), "MODEL": str(model_dir)}.get(value, value)
         out = tmp_path / "out"
         assert main(["analyze", "--mode", mode, "--trace", str(trace_dir), "--model",
-                     str(model_dir), flag, value, "--out", str(out)]) == 1
+                     str(model_dir), flag, *([value] if value else []),
+                     "--out", str(out)]) == 1
         assert f"argument {flag}: applies only with --mode {modes}\n" in capsys.readouterr().err
         assert not out.exists()
 

@@ -334,6 +334,28 @@ class TestStopReason:
             load_basis(tmp_path)
 
 
+class TestWhitenedRows:
+    """`train` on the rows that `whiten(..., in_place=True)` returns."""
+
+    def test_same_files_as_training_on_the_patch_set(self, tmp_path, small_patches,
+                                                     small_whitening, small_topo):
+        pixels = small_patches.data.tobytes()
+        save_basis(train(small_patches, small_whitening, small_topo, REJECTING),
+                   tmp_path / "patches")
+        assert small_patches.data.tobytes() == pixels    # a PatchSet is never modified
+        patches = topica.PatchSet(small_patches.data.copy(), small_patches.patch_side)
+        rows = whiten(small_whitening, patches, in_place=True)
+        save_basis(train(rows, small_whitening, small_topo, REJECTING), tmp_path / "rows")
+        for name in ("filter_matrix.ticm", "basis_matrix.ticm", "training_log.csv"):
+            assert (tmp_path / "rows" / name).read_bytes() == \
+                (tmp_path / "patches" / name).read_bytes()
+
+    @pytest.mark.parametrize("shape", [(100, 15), (100, 25), (1600,)])
+    def test_rows_of_another_width_rejected(self, small_whitening, small_topo, shape):
+        with pytest.raises(DimensionMismatch, match="whitened rows must have shape"):
+            train(np.zeros(shape), small_whitening, small_topo, TrainConfig(max_iters=1))
+
+
 class TestTrainMemory:
     def test_peak_is_about_the_whitened_rows(self, small_images):
         # The training rows are moved to the front of the whitened array in

@@ -12,6 +12,7 @@ from topica.errors import (
     PatchTooLarge,
 )
 from topica.images import (
+    CROP_BLOCK_PIXELS,
     FrameSequence,
     GrayImage,
     PatchSet,
@@ -104,6 +105,41 @@ class TestRandomPatches:
     def test_too_large_patch(self):
         with pytest.raises(PatchTooLarge):
             extract_random_patches(ramp(4, 4), 5, 1, seed=0)
+
+
+def per_row_crops(img, side, count, seed):
+    """Random crops copied and centred one row at a time."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, img.height - side + 1, size=count)
+    cols = rng.integers(0, img.width - side + 1, size=count)
+    out = np.empty((count, side * side))
+    for i in range(count):
+        patch = img.values[rows[i]:rows[i] + side, cols[i]:cols[i] + side].reshape(-1)
+        out[i] = patch - patch.mean()
+    return out
+
+
+class TestBlockedCrops:
+    # 12x12 patches: 144 pixels, so blocks of CROP_BLOCK_PIXELS // 144 rows.
+    ROWS = CROP_BLOCK_PIXELS // 144
+
+    @pytest.mark.parametrize("count", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
+    def test_is_the_per_row_loop(self, count):
+        img = GrayImage(np.random.default_rng(count).standard_normal((40, 53)))
+        ps = extract_random_patches(img, 12, count, seed=7)
+        assert ps.data.tobytes() == per_row_crops(img, 12, count, 7).tobytes()
+
+    @pytest.mark.parametrize("shape", [(12, 12), (12, 30), (30, 12)])
+    def test_patch_side_is_the_image_side(self, shape):
+        img = GrayImage(np.random.default_rng(1).standard_normal(shape))
+        ps = extract_random_patches(img, 12, 300, seed=2)
+        assert ps.data.tobytes() == per_row_crops(img, 12, 300, 2).tobytes()
+
+    def test_patch_larger_than_a_block(self):
+        # 150 x 150 pixels exceed CROP_BLOCK_PIXELS: a block of one row.
+        img = GrayImage(np.random.default_rng(3).standard_normal((160, 170)))
+        ps = extract_random_patches(img, 150, 3, seed=4)
+        assert ps.data.tobytes() == per_row_crops(img, 150, 3, 4).tobytes()
 
 
 class TestMultiImagePatches:

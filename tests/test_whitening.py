@@ -196,3 +196,31 @@ def test_rank_floor_is_relative_to_the_spectrum():
     assert fit_whitening(ps, 15).eigenvalues[-1] > 1e6
     with pytest.raises(RankDeficient):
         fit_whitening(ps, 16)
+
+
+# (n_samples, k) on 9x9 patches. 7 and CHUNK rows are a single block. For
+# CHUNK + 1 and 2 * CHUNK + 7 rows, below CHUNK * 81 / (81 - k), and for
+# k = 81, which keeps every row in place, an earlier block overwrites the
+# last block's input, were that block computed last.
+@pytest.mark.parametrize("n_samples, k", [
+    (7, 64), (CHUNK, 64), (CHUNK + 1, 64), (2 * CHUNK + 7, 64), (3 * CHUNK + 100, 81),
+])
+def test_in_place_whiten_is_the_one_product(n_samples, k):
+    rng = np.random.default_rng(n_samples)
+    model = fit_whitening(PatchSet(rng.standard_normal((2000, 81)), 9), k)
+    data = rng.standard_normal((n_samples, 81))
+    expected = (data @ model.transform.T).tobytes()
+    patches = PatchSet(data.copy(), 9)
+    z = whiten(model, patches, in_place=True)
+    assert z.shape == (n_samples, k) and z.flags.c_contiguous
+    assert np.shares_memory(z, patches.data)
+    assert z.tobytes() == expected
+
+
+def test_in_place_whiten_refuses_non_contiguous_data(rng):
+    model = fit_whitening(random_patches(rng), 8)
+    patches = PatchSet(rng.standard_normal((16, 50))[:, :16], 4)
+    before = patches.data.copy()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        whiten(model, patches, in_place=True)
+    npt.assert_array_equal(patches.data, before)
