@@ -18,6 +18,7 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -33,21 +34,22 @@ HEATMAP_FILE = "heatmaps.pgm"
 RECON_FILE = "recon.pgm"
 # Path arguments a command reads; its --out may not be or contain any of them.
 INPUT_ARGS = ("images", "config", "model", "frames", "trace", "compare", "compare_model")
-# Per command, flags that apply only with another of its flags; all parse to None.
-_FLAG_NEEDS = {"activate": {"origin": "frames", "crop": "frames", "resize_width": "frames",
-                            "bar_frames": "bar", "bar_thickness": "bar"},
-               "analyze": {"compare_model": "compare"}}
-# analyze flags that apply only in some modes; all parse to None.
-_FLAG_MODES = {"compare": ("adjacency",), "compare_model": ("adjacency",),
-               "shuffle_topo": ("adjacency", "locality"), "k": ("locality",),
-               "max_lag": ("autocorr",), "shuffle_baseline": ("autocorr",),
-               "energy": ("autocorr",), "permutations": ("adjacency",), "seed": ("adjacency",)}
-# Per command, the value a flag above takes when it applies and is not given.
-# The parser leaves them None, so that `_refuse_flags_that_do_not_apply` sees
-# which flags were given; `main` fills them in after that check.
-_FLAG_DEFAULTS = {"activate": {"bar_frames": 16, "bar_thickness": 1},
-                  "analyze": {"k": 5, "max_lag": 10, "shuffle_baseline": 0, "energy": False,
-                              "permutations": analysis.N_PERMUTATIONS, "seed": 0}}
+# Per command, each flag that applies only where its conditions hold, in the
+# order they are checked ("--mode a or b": one of these modes; "--flag": that
+# flag is given), and the value it takes where it applies and is not given.
+# These flags parse to None, so that `_check_command_line` sees which were given.
+_SCOPED_FLAGS = {
+    "activate": {"origin": (["--frames"], None), "crop": (["--frames"], None),
+                 "resize_width": (["--frames"], None),
+                 "bar_frames": (["--bar"], 16), "bar_thickness": (["--bar"], 1)},
+    "analyze": {"compare": (["--mode adjacency"], None),
+                "compare_model": (["--mode adjacency", "--compare"], None),
+                "shuffle_topo": (["--mode adjacency or locality"], None),
+                "k": (["--mode locality"], 5), "max_lag": (["--mode autocorr"], 10),
+                "shuffle_baseline": (["--mode autocorr"], 0),
+                "energy": (["--mode autocorr"], False),
+                "permutations": (["--mode adjacency"], analysis.N_PERMUTATIONS),
+                "seed": (["--mode adjacency"], 0)}}
 
 
 def _parse_ints(text: str, name: str, layout: str) -> tuple:
@@ -92,6 +94,13 @@ def _flag_type(parse):
             raise argparse.ArgumentTypeError(str(exc)) from None
     flag_type.__name__ = parse.__name__    # argparse names it in "invalid int value"
     return flag_type
+
+
+def _parse_origin(text: str) -> tuple:
+    left, top = _parse_ints(text, "origin", "left,top")
+    if left < 0 or top < 0:
+        raise ConfigError(f"origin values must be >= 0, got {text!r}")
+    return left, top
 
 
 def parse_crop(text: str) -> tuple:
@@ -319,18 +328,15 @@ def _trace_model(trace_dir, trace: act.ActivationTrace, model_dir) -> estimation
 
 
 def _analysis_topo(args, trace: act.ActivationTrace) -> Topography:
-    if args.model is None:
-        raise ConfigError(f"--model is required for {args.mode} analysis")
     topo = _trace_model(args.trace, trace, args.model).topo
     if args.shuffle_topo is not None:
         topo = shuffle_topography(topo, args.shuffle_topo)
     return topo
 
 
-def cmd_render(args) -> int:
-    with _replacing_output(args, directory=False) as tmp:
-        montage = render_montage(estimation.load_basis(args.model))
-        images.write_image(tmp, montage, lo=0.0, hi=1.0)
+def cmd_render(args, out) -> int:
+    montage = render_montage(estimation.load_basis(args.model))
+    images.write_image(out, montage, lo=0.0, hi=1.0)
     print(f"wrote {montage.width}x{montage.height} montage to {args.out}")
     return 0
 
@@ -391,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="synthetic moving-bar stimulus")
     source.add_argument("--probe", type=_int_at_least(0), metavar="UNIT",
                         help="single-basis probe patch for one unit")
-    p_act.add_argument("--origin",
-                       type=_flag_type(lambda text: _parse_ints(text, "origin", "left,top")),
+    p_act.add_argument("--origin", type=_flag_type(_parse_origin),
                        help="top-left patch corner as left,top (default: frame center)")
     p_act.add_argument("--crop", type=_flag_type(parse_crop),
                        help="left,top,width,height applied to every frame")
@@ -430,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextlib.contextmanager
-def _replacing_output(args, directory=True):
+def _replacing_output(args, directory: bool):
     """Yield a temporary sibling of --out, which replaces --out on success.
 
     The sibling is an empty directory or, with `directory` False, the path
@@ -466,42 +471,50 @@ def _replacing_output(args, directory=True):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _refuse_flags_that_do_not_apply(args) -> None:
-    """Raise ConfigError, naming the flag, for a flag given where it does not apply."""
-    wrong = []
-    if args.command == "analyze":
-        wrong += [(name, "--mode " + " or ".join(modes)) for name, modes in _FLAG_MODES.items()
-                  if args.mode not in modes]
-    wrong += [(name, f"--{needed}") for name, needed in _FLAG_NEEDS.get(args.command, {}).items()
-              if getattr(args, needed) is None]
-    for name, condition in wrong:
-        if getattr(args, name) is not None:
-            flag = "--" + name.replace("_", "-")
-            raise ConfigError(f"argument {flag}: applies only with {condition}")
+def _holds(args, condition: str) -> bool:
+    """Whether `args` meets one condition of `_SCOPED_FLAGS`."""
+    flag, _, values = condition.partition(" ")
+    value = getattr(args, flag[2:].replace("-", "_"))
+    return value in values.split(" or ") if values else value is not None
+
+
+def _check_command_line(args) -> None:
+    """Before any file is read, refuse a scoped flag given where it does not apply
+    and an analysis without the --model it needs; then fill in the scoped defaults."""
+    for name, (conditions, default) in _SCOPED_FLAGS.get(args.command, {}).items():
+        unmet = next((condition for condition in conditions if not _holds(args, condition)), None)
+        if unmet is not None and getattr(args, name) is not None:
+            raise ConfigError(f"argument --{name.replace('_', '-')}: applies only with {unmet}")
+        if unmet is None and getattr(args, name) is None:
+            setattr(args, name, default)
+    if args.command == "analyze" and args.mode != "autocorr" and args.model is None:
+        raise ConfigError(f"--model is required for {args.mode} analysis")
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """`warnings.showwarning` for the command line: the message alone, on one line."""
+    print(f"topica: warning: {message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        _refuse_flags_that_do_not_apply(args)
-        for name, value in _FLAG_DEFAULTS.get(args.command, {}).items():
-            if getattr(args, name) is None:
-                setattr(args, name, value)
-        if args.command == "render":
-            return args.func(args)
-        with _replacing_output(args) as out:
-            return args.func(args, out)
-    except TopicaError as exc:
-        print(f"topica: error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"topica: error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:    # exit 2, as for OSError's ENOMEM
-        print(f"topica: error: out of memory: {str(exc) or 'allocation failed'}",
-              file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            args = parser.parse_args(argv)
+            _check_command_line(args)
+            with _replacing_output(args, directory=args.command != "render") as out:
+                return args.func(args, out)
+        except TopicaError as exc:
+            print(f"topica: error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        except OSError as exc:
+            print(f"topica: error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError as exc:    # exit 2, as for OSError's ENOMEM
+            print(f"topica: error: out of memory: {str(exc) or 'allocation failed'}",
+                  file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

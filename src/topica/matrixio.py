@@ -44,17 +44,24 @@ def read_matrix(path) -> np.ndarray:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        payload = read_payload(f, 8 * rows * cols, path)
-    data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return data.reshape(rows, cols)
+        _check_payload(f, 8 * rows * cols, path)
+        data = np.empty((rows, cols), dtype="<f8")
+        if f.readinto(data) != data.nbytes:    # read straight into the one array
+            raise FormatError(f"{path}: truncated data")
+    return data.astype(np.float64, copy=False)
 
 
-def read_payload(f, size: int, path) -> bytes:
-    """The next `size` bytes of the open file `f`, after checking the file
-    holds them, so that a header declaring too much fails without a huge read."""
+def _check_payload(f, size: int, path) -> None:
+    """Check that the open file `f` holds `size` more bytes, so that a header
+    declaring too much fails without a huge read."""
     left = os.fstat(f.fileno()).st_size - f.tell()
     if size > left:
         raise FormatError(f"{path}: header declares {size} bytes of data, but {left} follow")
+
+
+def read_payload(f, size: int, path) -> bytes:
+    """The next `size` bytes of the open file `f`, after `_check_payload`."""
+    _check_payload(f, size, path)
     return f.read(size)
 
 
@@ -151,7 +158,7 @@ def content_hash(*parts) -> str:
             digest.update(struct.pack("<I", arr.ndim))
             for dim in arr.shape:
                 digest.update(struct.pack("<Q", dim))
-            digest.update(arr.tobytes(order="C"))
+            digest.update(arr)    # the buffer itself, without a bytes copy
         elif isinstance(part, bool):
             digest.update(b"b" + (b"1" if part else b"0"))
         elif isinstance(part, (int, np.integer)):

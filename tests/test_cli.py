@@ -739,6 +739,26 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--trace", str(trace_dir), "--mode", "adjacency",
                      "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("mode", ["adjacency", "locality"])
+    def test_missing_model_exits_1_before_reading_the_trace(self, tmp_path, capsys, mode):
+        assert main(["analyze", "--trace", str(tmp_path / "missing"), "--mode", mode,
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"topica: error: --model is required for {mode} analysis\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_constant_unit_warns_on_one_line(self, tmp_path, trace_dir):
+        trace = tmp_path / "trace"
+        shutil.copytree(trace_dir, trace)
+        activations = read_matrix(trace / "activations.ticm")
+        activations[:, 3] = 0.5
+        write_matrix(trace / "activations.ticm", activations)
+        proc = _run_cli("analyze", "--trace", str(trace), "--mode", "autocorr",
+                        "--out", str(tmp_path / "a"))
+        assert proc.returncode == 0
+        assert proc.stderr == ("topica: warning: excluding 1 constant unit series "
+                               "from autocorrelation\n")
+
     def test_locality_value_in_summary(self, tmp_path, trace_dir, model_dir):
         out = tmp_path / "loc"
         assert main(["analyze", "--trace", str(trace_dir), "--mode", "locality",
@@ -939,6 +959,7 @@ class TestOutOfRangeFlags:
         ["activate", "--bar", "horizontal", "--frame-rate", "abc"],
         ["activate", "--bar", "horizontal", "--crop", "1,2"],
         ["activate", "--bar", "horizontal", "--origin", "abc"],
+        ["activate", "--frames", "missing", "--origin", "0,-1"],
         ["train", "--images", "missing", "--crop", "1,2,3"],
     ], ids=lambda argv: " ".join(argv[-2:]))
     def test_exits_1_without_reading_inputs(self, tmp_path, argv):
@@ -999,6 +1020,26 @@ class TestOutOfRangeFlags:
                      "--out", str(out)]) == 1
         assert f"argument {flag}: applies only with --mode {modes}\n" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, defaults", [
+        (["activate", "--model", "m", "--bar", "vertical"], {"bar_frames": 16, "bar_thickness": 1}),
+        (["analyze", "--trace", "t", "--mode", "autocorr"],
+         {"max_lag": 10, "shuffle_baseline": 0, "energy": False}),
+        (["analyze", "--trace", "t", "--mode", "locality", "--model", "m"], {"k": 5}),
+        (["analyze", "--trace", "t", "--mode", "adjacency", "--model", "m"],
+         {"permutations": 10000, "seed": 0}),
+    ], ids=["bar", "autocorr", "locality", "adjacency"])
+    def test_defaults_where_flags_apply(self, tmp_path, monkeypatch, argv, defaults):
+        # The values README states, as the command receives them.
+        seen = {}
+
+        def command(args, out):
+            seen.update(vars(args))
+            return 0
+
+        monkeypatch.setattr(topica.cli, "cmd_" + argv[0], command)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert {name: seen[name] for name in defaults} == defaults
 
     @pytest.mark.parametrize("flags", [
         ["activate", "--probe", "16"],

@@ -1,4 +1,6 @@
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -80,6 +82,21 @@ def test_truncated_payload_rejected(tmp_path):
         read_matrix(path)
 
 
+def test_read_holds_the_matrix_once(tmp_path, rng):
+    values = rng.standard_normal((4096, 144))
+    path = tmp_path / "m.ticm"
+    write_matrix(path, values)
+    read_matrix(path)    # imports made on first use
+    tracemalloc.start()
+    try:
+        loaded = read_matrix(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.tobytes() == values.tobytes()
+    assert peak < 1.25 * values.nbytes
+
+
 def test_meta_roundtrip(tmp_path):
     path = tmp_path / "x.meta"
     write_meta(path, {"kind": "TICA", "k": 64, "epsilon": format_float(0.25)})
@@ -151,3 +168,24 @@ def test_content_hash_sensitivity(rng):
 def test_content_hash_shape_not_just_bytes(rng):
     flat = rng.standard_normal(12)
     assert content_hash(flat.reshape(3, 4)) != content_hash(flat.reshape(4, 3))
+
+
+@pytest.mark.parametrize("order, dtype", [("C", "<f8"), ("F", "<f8"), ("C", ">f8")])
+def test_content_hash_of_an_array_is_its_little_endian_bytes(rng, order, dtype):
+    # Byte-level oracle: stored model references depend on this encoding.
+    values = rng.standard_normal((3, 4))
+    expected = hashlib.sha256(b"a" + struct.pack("<I", 2) + struct.pack("<QQ", 3, 4)
+                              + struct.pack("<12d", *values.ravel()))
+    assert content_hash(np.array(values, order=order, dtype=dtype)) == expected.hexdigest()
+
+
+def test_content_hash_copies_no_array(rng):
+    values = rng.standard_normal((4096, 144))
+    content_hash(values)    # imports made on first use
+    tracemalloc.start()
+    try:
+        content_hash(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * values.nbytes
