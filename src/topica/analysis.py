@@ -14,7 +14,6 @@ chance control:
 from __future__ import annotations
 
 import os
-import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -161,35 +160,6 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _map_threads(function, items, n_threads: int) -> list:
-    """[function(item) for item in items], on `n_threads` threads.
-
-    The calling thread is one of them, so a single thread runs serially;
-    thread w takes items w, w + n_threads, w + 2 n_threads and so on. The
-    first exception raised is raised again here once every thread has
-    finished.
-    """
-    results = [None] * len(items)
-    errors = []
-
-    def work(offset):
-        try:
-            for i in range(offset, len(items), n_threads):
-                results[i] = function(items[i])
-        except Exception as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, n_threads)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 def _relabelings(rng: np.random.Generator, n_draws: int, n_pooled: int, n_a: int) -> np.ndarray:
     """(n_draws, n_pooled) orders of the pooled values; the first `n_a`
     columns of each row are a uniform random `n_a`-subset, group A.
@@ -232,8 +202,7 @@ def permutation_test(group_a: np.ndarray, group_b: np.ndarray, n_permutations: i
 
     step = max(1, PERMUTATION_KEYS // pooled.size)
 
-    def count_extreme(block):
-        start, stream = block
+    def count_extreme(start, stream):
         rng = np.random.default_rng(stream)
         n_draws = min(PERMUTATION_BLOCK, n_permutations - start)
         extreme = 0
@@ -244,9 +213,12 @@ def permutation_test(group_a: np.ndarray, group_b: np.ndarray, n_permutations: i
             extreme += int(np.count_nonzero(diff >= observed - 1e-12))
         return extreme
 
+    # Imported here: it pulls in logging, which no other command should pay for at start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
     # Drawing and partitioning keys release the GIL, and nothing here calls BLAS.
-    counts = _map_threads(count_extreme, list(zip(starts, streams)),
-                          min(_usable_cores(), len(starts)))
+    with ThreadPoolExecutor(min(_usable_cores(), len(starts))) as pool:
+        counts = list(pool.map(count_extreme, starts, streams))
     return PermutationResult(
         observed_diff=observed,
         p_value=(1 + sum(counts)) / (1 + n_permutations),

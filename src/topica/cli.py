@@ -439,10 +439,13 @@ def _replacing_output(args, directory: bool):
     """Yield a temporary sibling of --out, which replaces --out on success.
 
     The sibling is an empty directory or, with `directory` False, the path
-    of a file in one. If the command fails, it is removed and --out is left
-    as it was. An --out that is, or contains, an input or the working
-    directory is refused before anything is computed, and so is a file
-    --out inside an input directory, whose files it could replace.
+    of a file, inside a `.topica-*` directory. An existing --out directory
+    is moved aside into that directory, and back if the new output does
+    not move in. If the command fails or is interrupted, the `.topica-*`
+    directory is removed and --out is left as it was. An --out that is, or
+    contains, an input or the working directory is refused before anything
+    is computed, and so is a file --out inside an input directory, whose
+    files it could replace.
     """
     out = os.path.realpath(args.out)
     inputs = [path for path in (getattr(args, name, None) for name in INPUT_ARGS)
@@ -458,16 +461,17 @@ def _replacing_output(args, directory: bool):
     parent = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".topica-", dir=parent)
-    result = tmp if directory else os.path.join(tmp, os.path.basename(out))
+    result, aside = os.path.join(tmp, "new"), os.path.join(tmp, "old")
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o777 & ~umask)
+        if directory:
+            os.mkdir(result)
         yield result
         if directory and os.path.isdir(args.out):
-            shutil.rmtree(args.out)
+            os.replace(args.out, aside)
         os.replace(result, args.out)
     finally:
+        if os.path.lexists(aside) and not os.path.lexists(args.out):
+            os.replace(aside, args.out)    # the new output never moved in
         shutil.rmtree(tmp, ignore_errors=True)
 
 
@@ -515,6 +519,9 @@ def main(argv=None) -> int:
             print(f"topica: error: out of memory: {str(exc) or 'allocation failed'}",
                   file=sys.stderr)
             return 2
+        except KeyboardInterrupt:
+            print("topica: error: interrupted", file=sys.stderr)
+            return 130
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-import threading
+import concurrent.futures
+import itertools
 import tracemalloc
 import warnings
 
@@ -263,34 +264,39 @@ class TestPermutationTest:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-    @pytest.mark.parametrize("cores", [2, 3, 8])
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
     def test_p_does_not_depend_on_the_core_count(self, rng, monkeypatch, cores):
         a = rng.standard_normal(60) + 0.3
         b = rng.standard_normal(50)
-        started = []
+        workers = []
+        pool = concurrent.futures.ThreadPoolExecutor
 
-        class CountedThread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
+        def counted_pool(max_workers):
+            workers.append(max_workers)
+            return pool(max_workers)
 
-        monkeypatch.setattr(analysis.threading, "Thread", CountedThread)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted_pool)
         monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {0})
-        serial = permutation_test(a, b, n_permutations=5000, seed=6)
-        assert started == []
+        one = permutation_test(a, b, n_permutations=5000, seed=6)
         monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: set(range(cores)))
-        threaded = permutation_test(a, b, n_permutations=5000, seed=6)
-        assert len(started) == min(cores, 5) - 1    # the caller is the first worker
-        assert threaded.p_value == serial.p_value
+        many = permutation_test(a, b, n_permutations=5000, seed=6)
+        assert workers == [1, min(cores, 5)]    # one worker per core, at most one per block
+        assert many.p_value == one.p_value
 
-    def test_worker_exception_reaches_the_caller(self):
-        def fail_on_three(item):
-            if item == 3:
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        calls = itertools.count()
+        relabelings = analysis._relabelings
+
+        def fail_on_third(*args):
+            if next(calls) == 2:
                 raise MemoryError("no room")
-            return item
-        assert analysis._map_threads(fail_on_three, [0, 1, 2], 2) == [0, 1, 2]
+            return relabelings(*args)
+
+        monkeypatch.setattr(analysis, "_relabelings", fail_on_third)
+        monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {0, 1})
         with pytest.raises(MemoryError, match="no room"):
-            analysis._map_threads(fail_on_three, [0, 1, 2, 3, 4], 2)
+            permutation_test(np.arange(5.0), np.arange(4.0),
+                             n_permutations=5 * PERMUTATION_BLOCK, seed=0)
 
     def test_relabelings_are_uniform_subsets(self):
         # Each of the 6 two-element subsets of 4 values comes up 1/6 of the time.

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -674,6 +675,48 @@ class TestActivateCommand:
         assert (out / "heatmaps.pgm").read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["bar", "frames"]
 
+    def test_failed_final_move_keeps_existing_out(self, tmp_path, model_dir, monkeypatch):
+        out = tmp_path / "bar"
+        argv = ["activate", "--model", str(model_dir), "--bar", "horizontal",
+                "--bar-frames", "4", "--out", str(out)]
+        assert main(argv) == 0
+        before = _tree_bytes(out)
+        replace = os.replace
+        moves_onto_out = itertools.count()
+
+        def replace_refusing_the_new_output(src, dst):
+            if os.fspath(dst) == str(out) and next(moves_onto_out) == 0:
+                raise PermissionError(f"cannot move {src} to {dst}")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_refusing_the_new_output)
+        assert main(argv) == 2
+        assert _tree_bytes(out) == before
+        assert os.listdir(tmp_path) == ["bar"]
+
+    def test_interrupt_exits_130_and_keeps_existing_out(self, tmp_path, model_dir,
+                                                         monkeypatch, capsys):
+        out = tmp_path / "bar"
+        argv = ["activate", "--model", str(model_dir), "--bar", "horizontal",
+                "--bar-frames", "4", "--out", str(out)]
+        assert main(argv) == 0
+        before = _tree_bytes(out)
+        capsys.readouterr()
+
+        def interrupted(args, tmp_out):
+            open(os.path.join(tmp_out, "partial"), "w").close()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(topica.cli, "cmd_activate", interrupted)
+        try:
+            code = main(argv)
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert code == 130
+        assert capsys.readouterr().err == "topica: error: interrupted\n"
+        assert _tree_bytes(out) == before
+        assert os.listdir(tmp_path) == ["bar"]
+
     def test_holds_one_frame_stack(self, tmp_path, model_dir, monkeypatch):
         # The frames are normalized in place and dropped once the patches are
         # cut, so activate holds at most one stack (plus a frame or two), and
@@ -853,6 +896,8 @@ class TestNegativeSeeds:
         assert proc.returncode == 1
         assert proc.stderr.startswith("topica: error: ") and "Traceback" not in proc.stderr
         assert "seed" in proc.stderr
+        if not use_config:    # the merged settings are checked, so the message names the setting
+            assert proc.stderr == "topica: error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
 
