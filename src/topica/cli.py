@@ -7,7 +7,10 @@ across thread counts; the whitening fit is not. Inputs are never mutated
 and all outputs land under the directory (or file path) named by --out.
 Every command builds its output in a temporary sibling (a directory, or
 render's montage file) and moves it into place only on success, replacing
-an existing --out as a whole.
+an existing --out as a whole. A command returns the report it prints, and
+`main` prints it only once the output is in place. An --out of the wrong
+kind (a file for a directory command, a directory for render) exits 1
+before any input is read.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import contextlib
 import os
 import shutil
+import signal
 import sys
 import tempfile
 import warnings
@@ -41,7 +45,8 @@ INPUT_ARGS = ("images", "config", "model", "frames", "trace", "compare", "compar
 _SCOPED_FLAGS = {
     "activate": {"origin": (["--frames"], None), "crop": (["--frames"], None),
                  "resize_width": (["--frames"], None),
-                 "bar_frames": (["--bar"], 16), "bar_thickness": (["--bar"], 1)},
+                 "bar_frames": (["--bar"], stimulus.BarStimulusSpec.n_frames),
+                 "bar_thickness": (["--bar"], stimulus.BarStimulusSpec.thickness)},
     "analyze": {"compare": (["--mode adjacency"], None),
                 "compare_model": (["--mode adjacency", "--compare"], None),
                 "shuffle_topo": (["--mode adjacency or locality"], None),
@@ -187,7 +192,7 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
     return config
 
 
-def cmd_train(args, out) -> int:
+def cmd_train(args, out) -> str:
     """Fit the whitening, then train on the patches whitened in place: the
     pixel rows are dropped once whitened, so the patch buffer is the only
     (n_patches, ...) array held through training, and training reorders
@@ -204,12 +209,10 @@ def cmd_train(args, out) -> int:
     model_b = estimation.train(rows, model_w, topo, config)
     whit.save_whitening(model_w, out)
     estimation.save_basis(model_b, out)
-    last = model_b.training_log[-1]
-    print(f"trained {model_b.kind} model: {model_b.n_units} units, "
-          f"{model_b.iterations} iterations, "
-          f"final objective {format_float(last.objective)}, "
-          f"stopped by {model_b.stop_reason}")
-    return 0
+    return (f"trained {model_b.kind} model: {model_b.n_units} units, "
+            f"{model_b.iterations} iterations, "
+            f"final objective {format_float(model_b.training_log[-1].objective)}, "
+            f"stopped by {model_b.stop_reason}\n")
 
 
 def _centered_origin(seq: images.FrameSequence, patch_side: int) -> tuple:
@@ -257,7 +260,7 @@ def render_reconstructions(model: estimation.BasisModel, trace: act.ActivationTr
                               for row in recon.data))
 
 
-def cmd_activate(args, out) -> int:
+def cmd_activate(args, out) -> str:
     model = estimation.load_basis(args.model)
     model_w = whit.load_whitening(args.model)
     origin = (0, 0)
@@ -283,11 +286,10 @@ def cmd_activate(args, out) -> int:
     act.save_trace(trace, out)
     render_energy_heatmaps(trace, model.topo, os.path.join(out, HEATMAP_FILE))
     render_reconstructions(model, trace, os.path.join(out, RECON_FILE))
-    print(f"activated {trace.n_frames} frames x {trace.n_units} units")
-    return 0
+    return f"activated {trace.n_frames} frames x {trace.n_units} units\n"
 
 
-def cmd_analyze(args, out) -> int:
+def cmd_analyze(args, out) -> str:
     trace = act.load_trace(args.trace)
     if args.mode == "autocorr":
         report = analysis.autocorrelation(trace, args.max_lag,
@@ -315,8 +317,7 @@ def cmd_analyze(args, out) -> int:
         summary = analysis.format_summary(locality=value, locality_k=args.k)
     with open(os.path.join(out, "summary.txt"), "w", encoding="ascii") as f:
         f.write(summary)
-    sys.stdout.write(summary)
-    return 0
+    return summary
 
 
 def _trace_model(trace_dir, trace: act.ActivationTrace, model_dir) -> estimation.BasisModel:
@@ -334,11 +335,10 @@ def _analysis_topo(args, trace: act.ActivationTrace) -> Topography:
     return topo
 
 
-def cmd_render(args, out) -> int:
+def cmd_render(args, out) -> str:
     montage = render_montage(estimation.load_basis(args.model))
     images.write_image(out, montage, lo=0.0, hi=1.0)
-    print(f"wrote {montage.width}x{montage.height} montage to {args.out}")
-    return 0
+    return f"wrote {montage.width}x{montage.height} montage to {args.out}\n"
 
 
 def render_montage(model: estimation.BasisModel) -> images.GrayImage:
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True, help="output directory for model files")
     p_train.add_argument("--config", help="key = value config file")
     for f in fields(RunConfig):
-        p_train.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+        p_train.add_argument("--" + f.name.replace("_", "-"),
                              type=_flag_type(_FIELD_PARSERS[f.name]), help=f.metadata.get("help"))
     p_train.set_defaults(func=cmd_train)
 
@@ -401,10 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="top-left patch corner as left,top (default: frame center)")
     p_act.add_argument("--crop", type=_flag_type(parse_crop),
                        help="left,top,width,height applied to every frame")
-    p_act.add_argument("--resize-width", dest="resize_width", type=_int_at_least(1))
-    p_act.add_argument("--frame-rate", dest="frame_rate", type=_positive_float)
-    p_act.add_argument("--bar-frames", dest="bar_frames", type=_int_at_least(1))
-    p_act.add_argument("--bar-thickness", dest="bar_thickness", type=_int_at_least(1))
+    p_act.add_argument("--resize-width", type=_int_at_least(1))
+    p_act.add_argument("--frame-rate", type=_positive_float)
+    p_act.add_argument("--bar-frames", type=_int_at_least(1))
+    p_act.add_argument("--bar-thickness", type=_int_at_least(1))
     p_act.set_defaults(func=cmd_activate)
 
     p_an = sub.add_parser("analyze", help="temporal/spatial statistics of a trace")
@@ -412,15 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--out", required=True)
     p_an.add_argument("--mode", required=True, choices=["autocorr", "adjacency", "locality"])
     p_an.add_argument("--model", help="model directory (topography source)")
-    p_an.add_argument("--max-lag", dest="max_lag", type=_int_at_least(1))
-    p_an.add_argument("--shuffle-baseline", dest="shuffle_baseline", type=_int_at_least(0),
+    p_an.add_argument("--max-lag", type=_int_at_least(1))
+    p_an.add_argument("--shuffle-baseline", type=_int_at_least(0),
                       help="seed for the frame-shuffled autocorrelation control")
     p_an.add_argument("--energy", action="store_true", default=None,
                       help="autocorrelation of energies instead of activations")
     p_an.add_argument("--compare", help="second trace directory for the permutation test")
-    p_an.add_argument("--compare-model", dest="compare_model",
-                      help="model directory for the second trace's topography")
-    p_an.add_argument("--shuffle-topo", dest="shuffle_topo", type=_int_at_least(0),
+    p_an.add_argument("--compare-model", help="model directory for the second trace's topography")
+    p_an.add_argument("--shuffle-topo", type=_int_at_least(0),
                       help="seed to shuffle unit positions before adjacency")
     p_an.add_argument("--permutations", type=_int_at_least(1))
     p_an.add_argument("--k", type=_int_at_least(1), help="cluster size for locality mode")
@@ -444,8 +443,9 @@ def _replacing_output(args, directory: bool):
     not move in. If the command fails or is interrupted, the `.topica-*`
     directory is removed and --out is left as it was. An --out that is, or
     contains, an input or the working directory is refused before anything
-    is computed, and so is a file --out inside an input directory, whose
-    files it could replace.
+    is computed, and so is an existing --out that the final move could not
+    replace (a non-directory for a directory, a directory for a file), and
+    a file --out inside an input directory, whose files it could replace.
     """
     out = os.path.realpath(args.out)
     inputs = [path for path in (getattr(args, name, None) for name in INPUT_ARGS)
@@ -453,7 +453,11 @@ def _replacing_output(args, directory: bool):
     for path in [os.getcwd()] + inputs:
         if os.path.commonpath([out, os.path.realpath(path)]) == out:
             raise ConfigError(f"--out {args.out} contains {path}, which replacing it would delete")
+    if directory and os.path.lexists(args.out) and not os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} exists and is not a directory")
     if not directory:
+        if os.path.isdir(args.out) and not os.path.islink(args.out):
+            raise ConfigError(f"--out {args.out} is a directory")
         for path in inputs:
             if os.path.commonpath([out, os.path.realpath(path)]) == os.path.realpath(path):
                 raise ConfigError(f"--out {args.out} is inside {path}, "
@@ -495,6 +499,26 @@ def _check_command_line(args) -> None:
         raise ConfigError(f"--model is required for {args.mode} analysis")
 
 
+class _Terminated(TopicaError):
+    exit_code = 143
+
+
+@contextlib.contextmanager
+def _sigterm_raises():
+    """Within the block, SIGTERM raises `_Terminated`, so that `finally`
+    clauses run; the previous handler is restored on exit. Python runs the
+    handler only between bytecodes, so a long BLAS call delays it, and
+    `signal.signal` works only in the main thread, so `main` must run there."""
+    def terminated(signum, frame):
+        raise _Terminated("terminated")
+
+    previous = signal.signal(signal.SIGTERM, terminated)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
     """`warnings.showwarning` for the command line: the message alone, on one line."""
     print(f"topica: warning: {message}", file=sys.stderr)
@@ -502,13 +526,15 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 def main(argv=None) -> int:
     parser = build_parser()
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), _sigterm_raises():
         warnings.showwarning = _print_warning
         try:
             args = parser.parse_args(argv)
             _check_command_line(args)
             with _replacing_output(args, directory=args.command != "render") as out:
-                return args.func(args, out)
+                report = args.func(args, out)
+            sys.stdout.write(report)
+            return 0
         except TopicaError as exc:
             print(f"topica: error: {exc}", file=sys.stderr)
             return exc.exit_code

@@ -6,9 +6,11 @@ import os
 import re
 import resource
 import shutil
+import signal
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -675,25 +677,6 @@ class TestActivateCommand:
         assert (out / "heatmaps.pgm").read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["bar", "frames"]
 
-    def test_failed_final_move_keeps_existing_out(self, tmp_path, model_dir, monkeypatch):
-        out = tmp_path / "bar"
-        argv = ["activate", "--model", str(model_dir), "--bar", "horizontal",
-                "--bar-frames", "4", "--out", str(out)]
-        assert main(argv) == 0
-        before = _tree_bytes(out)
-        replace = os.replace
-        moves_onto_out = itertools.count()
-
-        def replace_refusing_the_new_output(src, dst):
-            if os.fspath(dst) == str(out) and next(moves_onto_out) == 0:
-                raise PermissionError(f"cannot move {src} to {dst}")
-            replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", replace_refusing_the_new_output)
-        assert main(argv) == 2
-        assert _tree_bytes(out) == before
-        assert os.listdir(tmp_path) == ["bar"]
-
     def test_interrupt_exits_130_and_keeps_existing_out(self, tmp_path, model_dir,
                                                          monkeypatch, capsys):
         out = tmp_path / "bar"
@@ -1080,7 +1063,7 @@ class TestOutOfRangeFlags:
 
         def command(args, out):
             seen.update(vars(args))
-            return 0
+            return ""
 
         monkeypatch.setattr(topica.cli, "cmd_" + argv[0], command)
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
@@ -1218,3 +1201,93 @@ class TestDeterminism:
         assert results[0].keys() == results[1].keys()
         for name in results[0]:
             assert results[0][name] == results[1][name], f"{name} differs between runs"
+
+
+def _out_bytes(path):
+    return _tree_bytes(path) if path.is_dir() else path.read_bytes()
+
+
+@pytest.fixture(params=["train", "activate", "analyze", "render"])
+def command_argv(request, image_dir, model_dir, trace_dir):
+    """A short run of each command on this module's inputs, without --out."""
+    return {"train": ["train", "--images", str(image_dir), "--max-iters", "2"] + TRAIN_FLAGS[:-4],
+            "activate": ["activate", "--model", str(model_dir), "--bar", "horizontal",
+                         "--bar-frames", "4"],
+            "analyze": ["analyze", "--trace", str(trace_dir), "--mode", "autocorr"],
+            "render": ["render", "--model", str(model_dir)]}[request.param]
+
+
+class TestReplacingOutput:
+    def test_failed_final_move_keeps_existing_out(self, tmp_path, command_argv, monkeypatch,
+                                                  capsys):
+        out = tmp_path / "out"
+        argv = command_argv + ["--out", str(out)]
+        assert main(argv) == 0
+        before = _out_bytes(out)
+        capsys.readouterr()
+        replace = os.replace
+        moves_onto_out = itertools.count()
+
+        def replace_refusing_the_new_output(src, dst):
+            if os.fspath(dst) == str(out) and next(moves_onto_out) == 0:
+                raise PermissionError(f"cannot move {src} to {dst}")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_refusing_the_new_output)
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert _out_bytes(out) == before
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_out_of_the_wrong_kind_exits_1(self, tmp_path, command_argv, capsys):
+        # os.replace cannot move a directory onto a file, nor a file onto a directory.
+        out = tmp_path / "out"
+        if command_argv[0] == "render":
+            out.mkdir()
+            (out / "kept.pgm").write_bytes(b"kept")
+            refusal = "is a directory"
+        else:
+            out.write_bytes(b"kept")
+            refusal = "exists and is not a directory"
+        before = _out_bytes(out)
+        assert main(command_argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"topica: error: --out {out} {refusal}\n")
+        assert _out_bytes(out) == before
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_sigterm_handler_raises_within_main_only(self, tmp_path, model_dir, monkeypatch,
+                                                     capsys):
+        before = signal.getsignal(signal.SIGTERM)
+
+        def terminated(args, tmp_out):
+            signal.getsignal(signal.SIGTERM)(signal.SIGTERM, None)
+
+        monkeypatch.setattr(topica.cli, "cmd_render", terminated)
+        assert main(["render", "--model", str(model_dir),
+                     "--out", str(tmp_path / "m.pgm")]) == 143
+        assert capsys.readouterr() == ("", "topica: error: terminated\n")
+        assert signal.getsignal(signal.SIGTERM) is before
+        assert os.listdir(tmp_path) == []
+
+    def test_sigterm_exits_143_and_keeps_existing_out(self, tmp_path, image_dir, model_dir):
+        out = tmp_path / "model"
+        shutil.copytree(model_dir, out)
+        before = _tree_bytes(out)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(topica.__file__)))
+        proc = subprocess.Popen([sys.executable, "-m", "topica.cli", "train",
+                                 "--images", str(image_dir), "--out", str(out),
+                                 "--max-iters", str(10**9), "--tol", "0"] + TRAIN_FLAGS[:-4],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            while not [name for name in os.listdir(tmp_path) if name.startswith(".topica-")]:
+                assert proc.poll() is None, proc.communicate()
+                time.sleep(0.01)
+            assert proc.poll() is None
+            proc.send_signal(signal.SIGTERM)
+            stdout, stderr = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, stdout, stderr) == (143, "", "topica: error: terminated\n")
+        assert _tree_bytes(out) == before
+        assert os.listdir(tmp_path) == ["model"]
