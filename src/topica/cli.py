@@ -5,12 +5,15 @@ thread count: rerunning a command with the same three writes
 bit-identical files. Given the same whitening, training is bit-identical
 across thread counts; the whitening fit is not. Inputs are never mutated
 and all outputs land under the directory (or file path) named by --out.
-Every command builds its output in a temporary sibling (a directory, or
-render's montage file) and moves it into place only on success, replacing
-an existing --out as a whole. A command returns the report it prints, and
-`main` prints it only once the output is in place. An --out of the wrong
-kind (a file for a directory command, a directory for render) exits 1
-before any input is read.
+Every command builds its output (a directory, or render's montage file)
+in a `.topica-*` directory made in the nearest existing ancestor of --out,
+and moves it into place only on success, replacing an existing --out as a
+whole; missing parents of --out are made only then. A command returns the
+report it prints, and `main` prints it only once the output is in place.
+Every usage error (exit 1), an --out of the wrong kind (a file for a
+directory command, a directory for render) included, is found before any
+input is read and before anything is created, so a command that fails
+leaves the file system as it was.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import os
 import shutil
 import signal
 import sys
-import tempfile
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -54,18 +56,19 @@ _SCOPED_FLAGS = {
                 "shuffle_baseline": (["--mode autocorr"], 0),
                 "energy": (["--mode autocorr"], False),
                 "permutations": (["--mode adjacency"], analysis.N_PERMUTATIONS),
-                "seed": (["--mode adjacency"], 0)}}
+                "seed": (["--mode adjacency"], 0),
+                "model": (["--mode adjacency or locality"], None)}}
 
 
 def _parse_ints(text: str, name: str, layout: str) -> tuple:
     """Comma-separated integers, one for each comma-separated name in `layout`."""
     parts = text.split(",")
     if len(parts) != len(layout.split(",")):
-        raise ConfigError(f"{name} must be {layout}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"{name} must be {layout}, got {text!r}")
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
-        raise ConfigError(f"{name} values must be integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"{name} values must be integers, got {text!r}") from None
 
 
 def _int_at_least(lo: int):
@@ -89,29 +92,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _flag_type(parse):
-    """argparse type of `parse`, whose ConfigError becomes argparse's own
-    error, so that the message names the flag."""
-    def flag_type(text: str):
-        try:
-            return parse(text)
-        except ConfigError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    flag_type.__name__ = parse.__name__    # argparse names it in "invalid int value"
-    return flag_type
-
-
 def _parse_origin(text: str) -> tuple:
     left, top = _parse_ints(text, "origin", "left,top")
     if left < 0 or top < 0:
-        raise ConfigError(f"origin values must be >= 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"origin values must be >= 0, got {text!r}")
     return left, top
 
 
 def parse_crop(text: str) -> tuple:
     left, top, width, height = _parse_ints(text, "crop", "left,top,width,height")
     if width < 1 or height < 1 or left < 0 or top < 0:
-        raise ConfigError(f"bad crop rectangle {text!r}")
+        raise argparse.ArgumentTypeError(f"bad crop rectangle {text!r}")
     return left, top, width, height
 
 
@@ -179,7 +170,7 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
                 raise ConfigError(f"{path}: unknown config key {key!r}")
             try:
                 setattr(config, key, _FIELD_PARSERS[key](raw))
-            except (ValueError, ConfigError):
+            except (ValueError, argparse.ArgumentTypeError):
                 raise ConfigError(f"{path}: bad value for {key}: {raw!r}") from None
     for key, value in flags.items():
         setattr(config, key, value)
@@ -197,8 +188,7 @@ def cmd_train(args, out) -> str:
     pixel rows are dropped once whitened, so the patch buffer is the only
     (n_patches, ...) array held through training, and training reorders
     its rows in place."""
-    overrides = {name: getattr(args, name) for name in _FIELD_PARSERS}
-    config = load_run_config(args.config, overrides)
+    config = args.settings
     patches = images.extract_patches_from_images(
         _prepare_frames(images.load_images(args.images), config.crop),
         config.patch_side, config.n_patches, config.seed)
@@ -385,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", help="key = value config file")
     for f in fields(RunConfig):
         p_train.add_argument("--" + f.name.replace("_", "-"),
-                             type=_flag_type(_FIELD_PARSERS[f.name]), help=f.metadata.get("help"))
+                             type=_FIELD_PARSERS[f.name], help=f.metadata.get("help"))
     p_train.set_defaults(func=cmd_train)
 
     p_act = sub.add_parser("activate", help="run a model over frames, a bar, or a probe")
@@ -397,9 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="synthetic moving-bar stimulus")
     source.add_argument("--probe", type=_int_at_least(0), metavar="UNIT",
                         help="single-basis probe patch for one unit")
-    p_act.add_argument("--origin", type=_flag_type(_parse_origin),
+    p_act.add_argument("--origin", type=_parse_origin,
                        help="top-left patch corner as left,top (default: frame center)")
-    p_act.add_argument("--crop", type=_flag_type(parse_crop),
+    p_act.add_argument("--crop", type=parse_crop,
                        help="left,top,width,height applied to every frame")
     p_act.add_argument("--resize-width", type=_int_at_least(1))
     p_act.add_argument("--frame-rate", type=_positive_float)
@@ -434,48 +424,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextlib.contextmanager
-def _replacing_output(args, directory: bool):
-    """Yield a temporary sibling of --out, which replaces --out on success.
+def _replacing_output(out: str, directory: bool):
+    """Yield a temporary path, which replaces `out` on success.
 
-    The sibling is an empty directory or, with `directory` False, the path
-    of a file, inside a `.topica-*` directory. An existing --out directory
-    is moved aside into that directory, and back if the new output does
-    not move in. If the command fails or is interrupted, the `.topica-*`
-    directory is removed and --out is left as it was. An --out that is, or
-    contains, an input or the working directory is refused before anything
-    is computed, and so is an existing --out that the final move could not
-    replace (a non-directory for a directory, a directory for a file), and
-    a file --out inside an input directory, whose files it could replace.
+    The path is an empty directory or, with `directory` False, the path of
+    a file, inside a `.topica-*` directory made in the nearest existing
+    ancestor of `out`. Missing parents of `out` are made only just before
+    the final move. An existing `out` directory is moved aside into the
+    `.topica-*` directory, and back if the new output does not move in. If
+    the command fails or is interrupted, the `.topica-*` directory is
+    removed and the file system is left as it was; a failed final move
+    leaves the parents it made.
     """
-    out = os.path.realpath(args.out)
-    inputs = [path for path in (getattr(args, name, None) for name in INPUT_ARGS)
-              if path is not None]
-    for path in [os.getcwd()] + inputs:
-        if os.path.commonpath([out, os.path.realpath(path)]) == out:
-            raise ConfigError(f"--out {args.out} contains {path}, which replacing it would delete")
-    if directory and os.path.lexists(args.out) and not os.path.isdir(args.out):
-        raise ConfigError(f"--out {args.out} exists and is not a directory")
-    if not directory:
-        if os.path.isdir(args.out) and not os.path.islink(args.out):
-            raise ConfigError(f"--out {args.out} is a directory")
-        for path in inputs:
-            if os.path.commonpath([out, os.path.realpath(path)]) == os.path.realpath(path):
-                raise ConfigError(f"--out {args.out} is inside {path}, "
-                                  f"whose files it could replace")
-    parent = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(parent, exist_ok=True)
-    tmp = tempfile.mkdtemp(prefix=".topica-", dir=parent)
+    base = os.path.dirname(os.path.abspath(out))
+    while not os.path.lexists(base):
+        base = os.path.dirname(base)
+    tmp = os.path.join(base, ".topica-" + os.urandom(8).hex())
     result, aside = os.path.join(tmp, "new"), os.path.join(tmp, "old")
     try:
+        os.mkdir(tmp, 0o700)    # within `try`, so a signal just after it still removes it
         if directory:
             os.mkdir(result)
         yield result
-        if directory and os.path.isdir(args.out):
-            os.replace(args.out, aside)
-        os.replace(result, args.out)
+        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
+        if directory and os.path.isdir(out):
+            os.replace(out, aside)
+        os.replace(result, out)
     finally:
-        if os.path.lexists(aside) and not os.path.lexists(args.out):
-            os.replace(aside, args.out)    # the new output never moved in
+        if os.path.lexists(aside) and not os.path.lexists(out):
+            os.replace(aside, out)    # the new output never moved in
         shutil.rmtree(tmp, ignore_errors=True)
 
 
@@ -487,8 +464,18 @@ def _holds(args, condition: str) -> bool:
 
 
 def _check_command_line(args) -> None:
-    """Before any file is read, refuse a scoped flag given where it does not apply
-    and an analysis without the --model it needs; then fill in the scoped defaults."""
+    """Refuse a command line before any file is read or created, then fill in
+    what the command reads from `args`.
+
+    In order: a scoped flag given where it does not apply (otherwise its
+    default is filled in) and an analysis without the --model it needs;
+    then an --out that is, or contains, an input or the working directory,
+    an existing --out that the final move could not replace (a
+    non-directory for a directory, a directory for render's file), and a
+    render --out inside an input directory, whose files it could replace;
+    last, for train, the --config file and the flags merged into
+    `args.settings`.
+    """
     for name, (conditions, default) in _SCOPED_FLAGS.get(args.command, {}).items():
         unmet = next((condition for condition in conditions if not _holds(args, condition)), None)
         if unmet is not None and getattr(args, name) is not None:
@@ -497,6 +484,24 @@ def _check_command_line(args) -> None:
             setattr(args, name, default)
     if args.command == "analyze" and args.mode != "autocorr" and args.model is None:
         raise ConfigError(f"--model is required for {args.mode} analysis")
+    out = os.path.realpath(args.out)
+    inputs = [path for path in (getattr(args, name, None) for name in INPUT_ARGS)
+              if path is not None]
+    for path in [os.getcwd()] + inputs:
+        if os.path.commonpath([out, os.path.realpath(path)]) == out:
+            raise ConfigError(f"--out {args.out} contains {path}, which replacing it would delete")
+    if args.command == "render":
+        if os.path.isdir(args.out) and not os.path.islink(args.out):
+            raise ConfigError(f"--out {args.out} is a directory")
+        for path in inputs:
+            if os.path.commonpath([out, os.path.realpath(path)]) == os.path.realpath(path):
+                raise ConfigError(f"--out {args.out} is inside {path}, "
+                                  f"whose files it could replace")
+    elif os.path.lexists(args.out) and not os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} exists and is not a directory")
+    if args.command == "train":
+        args.settings = load_run_config(
+            args.config, {name: getattr(args, name) for name in _FIELD_PARSERS})
 
 
 class _Terminated(TopicaError):
@@ -531,7 +536,7 @@ def main(argv=None) -> int:
         try:
             args = parser.parse_args(argv)
             _check_command_line(args)
-            with _replacing_output(args, directory=args.command != "render") as out:
+            with _replacing_output(args.out, directory=args.command != "render") as out:
                 report = args.func(args, out)
             sys.stdout.write(report)
             return 0

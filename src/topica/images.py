@@ -254,15 +254,26 @@ def to_grayscale(rgb: np.ndarray) -> np.ndarray:
 
 
 def _read_pnm_header(f, n_fields: int, path):
-    """Read whitespace-separated header fields, honoring '#' comments."""
-    fields = []
+    """Read whitespace-separated header fields byte by byte, a '#' comment
+    counting as whitespace up to the end of its line. The single whitespace
+    byte after the last field is read too, so `f` is left at the raster,
+    which may itself start with whitespace bytes (Netpbm allows any one
+    whitespace character after maxval)."""
+    fields, token = [], b""
     while len(fields) < n_fields:
-        line = f.readline()
-        if not line:
+        byte = f.read(1)
+        if not byte:
             raise FormatError(f"{path}: unexpected end of file in PNM header")
-        line = line.split(b"#", 1)[0]
-        fields.extend(line.split())
-    return fields[:n_fields]
+        if byte == b"#":
+            while byte not in b"\r\n":    # b"" (end of file) ends the comment too
+                byte = f.read(1)
+            byte = b"\n"
+        if not byte.isspace():
+            token += byte
+        elif token:
+            fields.append(token)
+            token = b""
+    return fields
 
 
 def read_image(path) -> GrayImage:

@@ -137,11 +137,11 @@ class TestRunConfig:
             load_run_config(None, {"k": 10})
 
     def test_crop_parsing_errors(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(argparse.ArgumentTypeError):
             parse_crop("1,2,3")
-        with pytest.raises(ConfigError):
+        with pytest.raises(argparse.ArgumentTypeError):
             parse_crop("1,2,3,x")
-        with pytest.raises(ConfigError):
+        with pytest.raises(argparse.ArgumentTypeError):
             parse_crop("1,2,0,4")
 
 
@@ -1037,6 +1037,7 @@ class TestOutOfRangeFlags:
             ("locality", "--energy", None, "autocorr"),
             ("autocorr", "--permutations", "5", "adjacency"),
             ("locality", "--seed", "3", "adjacency"),
+            ("autocorr", "--model", "MODEL", "adjacency or locality"),
         ]])
     def test_analyze_flag_outside_its_modes_exits_1(self, tmp_path, model_dir, trace_dir,
                                                     capsys, mode, flag, value, modes):
@@ -1091,7 +1092,8 @@ class TestTraceChecks:
         shutil.copytree(trace_dir, trace)
         write_matrix(trace / "activations.ticm", np.empty((0, 16)))
         out = tmp_path / "a"
-        assert main(["analyze", "--trace", str(trace), "--model", str(model_dir),
+        model = ["--model", str(model_dir)] if mode != "autocorr" else []
+        assert main(["analyze", "--trace", str(trace), *model,
                      "--mode", mode, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("topica: error: ")
         assert not out.exists()
@@ -1255,6 +1257,24 @@ class TestReplacingOutput:
         assert _out_bytes(out) == before
         assert os.listdir(tmp_path) == ["out"]
 
+    @pytest.mark.parametrize("command", ["train", "activate", "analyze", "render"])
+    def test_failure_creates_nothing(self, tmp_path, monkeypatch, image_dir, model_dir,
+                                     trace_dir, command):
+        # --out lies two missing directories deep; a usage error (exit 1), then a
+        # data error (exit 2) must leave neither those parents nor a .topica-* behind.
+        monkeypatch.chdir(tmp_path)
+        out = os.path.join("a", "b", "m.pgm" if command == "render" else "out")
+        runs = {"train": [(["--images", str(image_dir), "--seed", "-1"], 1),
+                          (["--images", "missing"], 2)],
+                "activate": [(["--model", str(model_dir), "--probe", "-1"], 1),
+                             (["--model", "missing", "--bar", "horizontal"], 2)],
+                "analyze": [(["--trace", str(trace_dir), "--mode", "locality"], 1),
+                            (["--trace", "missing", "--mode", "autocorr"], 2)],
+                "render": [(["--model", "a"], 1), (["--model", "missing"], 2)]}[command]
+        for flags, code in runs:
+            assert main([command, *flags, "--out", out]) == code
+            assert os.listdir(tmp_path) == []
+
     def test_sigterm_handler_raises_within_main_only(self, tmp_path, model_dir, monkeypatch,
                                                      capsys):
         before = signal.getsignal(signal.SIGTERM)
@@ -1269,14 +1289,34 @@ class TestReplacingOutput:
         assert signal.getsignal(signal.SIGTERM) is before
         assert os.listdir(tmp_path) == []
 
-    def test_sigterm_exits_143_and_keeps_existing_out(self, tmp_path, image_dir, model_dir):
+    def test_signal_just_after_the_temporary_directory_is_made(self, tmp_path, model_dir,
+                                                               monkeypatch, capsys):
+        mkdir = os.mkdir
+
+        def mkdir_then_interrupt(path, *args, **kwargs):
+            mkdir(path, *args, **kwargs)
+            if os.path.basename(path).startswith(".topica-"):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "mkdir", mkdir_then_interrupt)
+        assert main(["render", "--model", str(model_dir),
+                     "--out", str(tmp_path / "m.pgm")]) == 130
+        assert capsys.readouterr() == ("", "topica: error: interrupted\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_sigterm_exits_143_and_keeps_existing_out(self, tmp_path, tmp_path_factory,
+                                                       image_dir, model_dir):
+        # The last image is a FIFO that nothing writes to, so train waits in `open`
+        # once its .topica-* exists and cannot finish before the signal lands.
+        images = tmp_path_factory.mktemp("blocking_imgs")
+        shutil.copytree(image_dir, images, dirs_exist_ok=True)
+        os.mkfifo(images / "zz_blocks.pgm")
         out = tmp_path / "model"
         shutil.copytree(model_dir, out)
         before = _tree_bytes(out)
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(topica.__file__)))
         proc = subprocess.Popen([sys.executable, "-m", "topica.cli", "train",
-                                 "--images", str(image_dir), "--out", str(out),
-                                 "--max-iters", str(10**9), "--tol", "0"] + TRAIN_FLAGS[:-4],
+                                 "--images", str(images), "--out", str(out)] + TRAIN_FLAGS,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
         try:
             while not [name for name in os.listdir(tmp_path) if name.startswith(".topica-")]:
@@ -1284,7 +1324,14 @@ class TestReplacingOutput:
                 time.sleep(0.01)
             assert proc.poll() is None
             proc.send_signal(signal.SIGTERM)
-            stdout, stderr = proc.communicate(timeout=120)
+            try:
+                stdout, stderr = proc.communicate(timeout=10)
+            except subprocess.TimeoutExpired:
+                # Python runs a handler between bytecodes: a signal that lands just
+                # before train enters `open` waits for `open` to return, which it
+                # never does. A second signal interrupts `open` and runs the handler.
+                proc.send_signal(signal.SIGTERM)
+                stdout, stderr = proc.communicate(timeout=120)
         finally:
             proc.kill()
             proc.wait()

@@ -286,6 +286,17 @@ class TestPnmIO:
         path.write_bytes(b"P5 # pgm\n# a comment\n 2\t1 \n255\n" + bytes([0, 255]))
         npt.assert_allclose(read_image(path).values, [[0.0, 1.0]])
 
+    @pytest.mark.parametrize("header", [
+        b"P5\n2 2\n255\n", b"P5 2 2 255 ", b"P5 2 2 255\t",
+        b"P5\n# a comment\n2 2\n# another\n255\n", b"P5 # pgm\n2 2 255 ",
+        b"P5\n2 2 # size\n255\t",
+    ], ids=["newline", "space", "tab", "comments-newline", "comment-space", "comment-tab"])
+    def test_one_whitespace_byte_after_maxval(self, tmp_path, header):
+        # The raster starts with whitespace bytes, which must not be read as header.
+        path = tmp_path / "x.pgm"
+        path.write_bytes(header + bytes([10, 32, 9, 200]))
+        npt.assert_array_equal(read_image(path).values, np.array([[10, 32], [9, 200]]) / 255)
+
     def test_low_maxval_scaling(self, tmp_path):
         path = tmp_path / "x.pgm"
         path.write_bytes(b"P5\n2 1\n3\n" + bytes([0, 3]))

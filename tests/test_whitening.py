@@ -173,14 +173,16 @@ def test_wide_fit_sign_convention(wide_patches):
         assert row[np.argmax(np.abs(row))] > 0
 
 
-def test_wide_duplicated_rows_rank_deficient(rng):
-    # 20 distinct rows, each twice: rank 20, so eigenvalue 21 is exactly zero
-    # and shows only as the Gram matrix's roundoff.
-    half = random_patches(rng, count=20, side=8).data
-    ps = PatchSet(np.vstack([half, half]), 8, per_patch_mean_removed=True)
-    assert fit_whitening(ps, 20).eigenvalues[-1] > 1e-3
+@pytest.mark.parametrize("side, distinct", [(8, 20), (100, 150)], ids=["8x8", "100x100"])
+def test_wide_duplicated_rows_rank_deficient(rng, side, distinct):
+    # `distinct` rows, each twice: rank `distinct`, so the next eigenvalue is
+    # exactly zero and shows only as the Gram matrix's roundoff. 100x100 is
+    # the full-scale patch size.
+    half = random_patches(rng, count=distinct, side=side).data
+    ps = PatchSet(np.vstack([half, half]), side, per_patch_mean_removed=True)
+    assert fit_whitening(ps, distinct).eigenvalues[-1] > 1e-3
     with pytest.raises(RankDeficient):
-        fit_whitening(ps, 21)
+        fit_whitening(ps, distinct + 1)
 
 
 def test_rank_floor_is_relative_to_the_spectrum():
