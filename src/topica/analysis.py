@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .activation import ActivationTrace, shuffle_frames
+from .activation import ActivationTrace
 from .errors import BadK, ConfigError, DegenerateSeries, DimensionMismatch, EmptyGroup
 from .matrixio import format_float, write_table
 from .topography import Topography, adjacent_pairs, pairwise_distances
@@ -123,9 +123,8 @@ def autocorrelation(trace: ActivationTrace, max_lag: int, shuffle_seed: int = 0,
         raise DegenerateSeries("every unit series is constant")
 
     per_unit = _per_unit_autocorr(values, max_lag, included)
-    shuffled = shuffle_frames(trace, shuffle_seed)
-    shuffled_values = shuffled.energies if use_energy else shuffled.activations
-    shuffled_per_unit = _per_unit_autocorr(shuffled_values, max_lag, included)
+    shuffled = values[np.random.default_rng(shuffle_seed).permutation(trace.n_frames)]
+    shuffled_per_unit = _per_unit_autocorr(shuffled, max_lag, included)
     return AutocorrReport(
         lags=np.arange(max_lag + 1),
         mean_autocorr=_nanmean(per_unit[included], axis=0),

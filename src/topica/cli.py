@@ -5,11 +5,12 @@ thread count: rerunning a command with the same three writes
 bit-identical files. Given the same whitening, training is bit-identical
 across thread counts; the whitening fit is not. Inputs are never mutated
 and all outputs land under the directory (or file path) named by --out.
-Every command builds its output (a directory, or render's montage file)
-in a `.topica-*` directory made in the nearest existing ancestor of --out,
-and moves it into place only on success, replacing an existing --out as a
-whole; missing parents of --out are made only then. A command returns the
-report it prints, and `main` prints it only once the output is in place.
+Every command builds its output (a directory, or render's montage file),
+with any missing parents of --out, in a `.topica-*` directory made in the
+nearest existing ancestor of --out, and moves it into place with one
+rename only on success, replacing an existing --out as a whole. A command
+returns the report it prints, and `main` prints it only once the output
+is in place.
 Every usage error (exit 1), an --out of the wrong kind (a file for a
 directory command, a directory for render) included, is found before any
 input is read and before anything is created, so a command that fails
@@ -427,29 +428,31 @@ def build_parser() -> argparse.ArgumentParser:
 def _replacing_output(out: str, directory: bool):
     """Yield a temporary path, which replaces `out` on success.
 
-    The path is an empty directory or, with `directory` False, the path of
-    a file, inside a `.topica-*` directory made in the nearest existing
-    ancestor of `out`. Missing parents of `out` are made only just before
-    the final move. An existing `out` directory is moved aside into the
-    `.topica-*` directory, and back if the new output does not move in. If
-    the command fails or is interrupted, the `.topica-*` directory is
-    removed and the file system is left as it was; a failed final move
-    leaves the parents it made.
+    `top` is the highest missing ancestor of `out`, or `out` itself when
+    its parent exists. The output is built in `new`, inside a `.topica-*`
+    directory made beside `top`: the yielded path, an empty directory or,
+    with `directory` False, the path of a file, lies at `out`'s place
+    relative to `top`, so `new` holds the missing parents of `out` too. On
+    success one rename moves `new` onto `top`. An existing `out`, which is
+    then `top` itself, is moved aside into the `.topica-*` directory first,
+    and back if the new output does not move in. If the command fails or
+    is interrupted, the `.topica-*` directory is removed and the file
+    system is left as it was.
     """
-    base = os.path.dirname(os.path.abspath(out))
-    while not os.path.lexists(base):
-        base = os.path.dirname(base)
-    tmp = os.path.join(base, ".topica-" + os.urandom(8).hex())
-    result, aside = os.path.join(tmp, "new"), os.path.join(tmp, "old")
+    top = os.path.abspath(out)
+    while not os.path.lexists(os.path.dirname(top)):
+        top = os.path.dirname(top)
+    tmp = os.path.join(os.path.dirname(top), ".topica-" + os.urandom(8).hex())
+    new, aside = os.path.join(tmp, "new"), os.path.join(tmp, "old")
+    # A trailing separator is kept: `out` then names a directory, and a file cannot be made there.
+    result = new + os.path.abspath(out)[len(top):] + os.sep * out.endswith(os.sep)
     try:
         os.mkdir(tmp, 0o700)    # within `try`, so a signal just after it still removes it
-        if directory:
-            os.mkdir(result)
+        os.makedirs(result if directory else os.path.dirname(result), exist_ok=True)
         yield result
-        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
         if directory and os.path.isdir(out):
             os.replace(out, aside)
-        os.replace(result, out)
+        os.replace(new, top)
     finally:
         if os.path.lexists(aside) and not os.path.lexists(out):
             os.replace(aside, out)    # the new output never moved in

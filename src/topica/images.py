@@ -296,7 +296,10 @@ def read_image(path) -> GrayImage:
             raise FormatError(f"{path}: only 8-bit images supported, maxval={maxval}")
         channels = 3 if magic == b"P6" else 1
         payload = read_payload(f, width * height * channels, path)
-    raw = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / maxval
+    samples = np.frombuffer(payload, dtype=np.uint8)
+    if maxval < 255 and samples.max() > maxval:
+        raise FormatError(f"{path}: a sample exceeds maxval {maxval}")
+    raw = samples.astype(np.float64) / maxval
     if channels == 3:
         return GrayImage(to_grayscale(raw.reshape(height, width, 3)))
     return GrayImage(raw.reshape(height, width))

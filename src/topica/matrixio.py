@@ -87,7 +87,9 @@ def write_meta(path, entries: dict) -> None:
 
 
 def read_meta(path) -> dict:
-    entries = {}
+    """The `key = value` entries of `path`; a malformed line or a repeated
+    key raises FormatError naming the line."""
+    entries, lines_of = {}, {}
     with open(path, "r", encoding="ascii") as f:
         try:
             lines = f.readlines()
@@ -99,8 +101,11 @@ def read_meta(path) -> dict:
             continue
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines_of:
+            raise FormatError(f"{path}:{lineno}: key {key!r} repeats line {lines_of[key]}")
+        lines_of[key] = lineno
+        entries[key] = value
     return entries
 
 
@@ -159,8 +164,6 @@ def content_hash(*parts) -> str:
             for dim in arr.shape:
                 digest.update(struct.pack("<Q", dim))
             digest.update(arr)    # the buffer itself, without a bytes copy
-        elif isinstance(part, bool):
-            digest.update(b"b" + (b"1" if part else b"0"))
         elif isinstance(part, (int, np.integer)):
             digest.update(b"i" + struct.pack("<q", int(part)))
         elif isinstance(part, float):
@@ -168,8 +171,6 @@ def content_hash(*parts) -> str:
         elif isinstance(part, str):
             encoded = part.encode("utf-8")
             digest.update(b"s" + struct.pack("<I", len(encoded)) + encoded)
-        elif isinstance(part, bytes):
-            digest.update(b"r" + struct.pack("<I", len(part)) + part)
         else:
             raise TypeError(f"cannot hash {type(part)!r}")
     return digest.hexdigest()

@@ -237,6 +237,16 @@ class TestTrainCommand:
                      "--config", str(conf)]) == 0
         assert topica.load_basis(out).seed == 1
 
+    def test_config_with_a_repeated_key_exits_2(self, tmp_path, image_dir, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("seed = 1\nseed = 2\n")
+        out = tmp_path / "model"
+        assert main(["train", "--images", str(image_dir), "--out", str(out),
+                     "--config", str(conf)] + TRAIN_FLAGS[:-2]) == 2
+        assert capsys.readouterr() == (
+            "", f"topica: error: {conf}:2: key 'seed' repeats line 1\n")
+        assert not out.exists()
+
     def test_empty_image_dir_is_data_error(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -1240,6 +1250,29 @@ class TestReplacingOutput:
         assert capsys.readouterr().out == ""
         assert _out_bytes(out) == before
         assert os.listdir(tmp_path) == ["out"]
+
+    def test_failed_final_move_creates_nothing(self, tmp_path, command_argv, monkeypatch,
+                                               capsys):
+        # --out lies two missing directories deep, and the move that would put the
+        # output in place fails: neither those parents nor a .topica-* is left.
+        out = tmp_path / "a" / "b" / ("m.pgm" if command_argv[0] == "render" else "out")
+
+        def refuse(src, dst):
+            raise PermissionError(f"cannot move {src} to {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(command_argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("out", ["m.pgm/", "a/b/m.pgm/"])
+    def test_render_out_naming_a_directory_exits_2(self, tmp_path, model_dir, monkeypatch,
+                                                   capsys, out):
+        # A trailing separator names a directory, where render cannot make its file.
+        monkeypatch.chdir(tmp_path)
+        assert main(["render", "--model", str(model_dir), "--out", out]) == 2
+        assert capsys.readouterr().out == ""
+        assert os.listdir(tmp_path) == []
 
     def test_out_of_the_wrong_kind_exits_1(self, tmp_path, command_argv, capsys):
         # os.replace cannot move a directory onto a file, nor a file onto a directory.

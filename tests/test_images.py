@@ -302,6 +302,16 @@ class TestPnmIO:
         path.write_bytes(b"P5\n2 1\n3\n" + bytes([0, 3]))
         npt.assert_allclose(read_image(path).values, [[0.0, 1.0]])
 
+    @pytest.mark.parametrize("image", [b"P5\n2 2\n100\n" + bytes([0, 50, 200, 255]),
+                                       b"P6\n1 1\n100\n" + bytes([0, 101, 50])],
+                             ids=["P5", "P6"])
+    def test_sample_above_maxval(self, tmp_path, image):
+        # Netpbm requires every sample to be at most maxval.
+        path = tmp_path / "x.pgm"
+        path.write_bytes(image)
+        with pytest.raises(FormatError, match=r"x\.pgm: .*maxval 100"):
+            read_image(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.pgm"
         path.write_bytes(b"P3\n1 1\n255\n0")

@@ -3,7 +3,10 @@ values, over tiny artifacts that may be cut short or byte-flipped anywhere,
 and valid commands over text artifacts with one value replaced.
 
 Whatever the argv and the files, `main` returns an exit code from 0 to 3,
-raises nothing, and leaves no `.topica-*` temporary sibling behind.
+raises nothing, and leaves no `.topica-*` temporary sibling behind. It
+changes no file outside --out, and a command that fails changes nothing
+at all: every path in the working directory keeps its bytes, and no path
+is added or removed.
 
 Every example runs in a fresh working directory holding a copy of the
 artifacts under `in/`. Path values are relative names or known paths, so
@@ -13,6 +16,7 @@ The 8x8 images are too small for the default 9x9 patches, so a `train`
 that falls back to the defaults fails fast instead of training at full size.
 """
 
+import hashlib
 import os
 import re
 import shutil
@@ -185,6 +189,30 @@ def mutate(path, change) -> None:
     path.write_bytes(bytes(data))
 
 
+def snapshot(root) -> dict:
+    """Each path under `root`, relative to it: a file's SHA-256, None for a directory."""
+    paths = {}
+    for base, dirs, names in os.walk(root):
+        for name in dirs:
+            paths[os.path.relpath(os.path.join(base, name), root)] = None
+        for name in names:
+            path = os.path.join(base, name)
+            with open(path, "rb") as f:
+                paths[os.path.relpath(path, root)] = hashlib.sha256(f.read()).hexdigest()
+    return paths
+
+
+def check_unchanged(before: dict, after: dict, argv, code) -> None:
+    """A failed command changed nothing; a successful one, no file outside --out."""
+    if code != 0:
+        assert after == before
+        return
+    out = os.path.normpath([value for flag, value in zip(argv, argv[1:]) if flag == "--out"][-1])
+    for path, digest in before.items():
+        if digest is not None and os.path.commonpath([out, path]) != out:
+            assert after.get(path) == digest, path
+
+
 def temporaries(root) -> list:
     return [os.path.join(base, name) for base, dirs, names in os.walk(root)
             for name in dirs + names if name.startswith(".topica-")]
@@ -202,6 +230,7 @@ def test_main_returns_an_exit_code(artifacts, data):
     shutil.copytree(artifacts / INPUT, work / INPUT)
     if mutation is not None:
         mutate(work / mutation[0], mutation[1])
+    before = snapshot(work)
     cwd = os.getcwd()
     os.chdir(work)
     try:
@@ -209,9 +238,11 @@ def test_main_returns_an_exit_code(artifacts, data):
     finally:
         os.chdir(cwd)
         left = temporaries(artifacts)
+        after = snapshot(work)
         shutil.rmtree(work)
     assert code in (0, 1, 2, 3)
     assert not left
+    check_unchanged(before, after, argv, code)
 
 
 # Valid commands, each with the text artifacts (relative to INPUT) that it reads.
@@ -257,6 +288,7 @@ def test_main_returns_an_exit_code_on_bad_values(artifacts, data):
     lines = path.read_text(encoding="ascii").splitlines()
     lines[index] = line
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    before = snapshot(work)
     cwd = os.getcwd()
     os.chdir(work)
     try:
@@ -264,6 +296,8 @@ def test_main_returns_an_exit_code_on_bad_values(artifacts, data):
     finally:
         os.chdir(cwd)
         left = temporaries(artifacts)
+        after = snapshot(work)
         shutil.rmtree(work)
     assert code in (0, 1, 2, 3)
     assert not left
+    check_unchanged(before, after, argv, code)

@@ -117,6 +117,13 @@ def test_meta_rejects_garbage_line(tmp_path):
         read_meta(path)
 
 
+def test_meta_rejects_repeated_key(tmp_path):
+    path = tmp_path / "x.meta"
+    path.write_text("seed = 1\n# comment\nk = 4\nseed = 2\n")
+    with pytest.raises(FormatError, match=r"x\.meta:4: key 'seed' repeats line 1$"):
+        read_meta(path)
+
+
 def test_meta_rejects_non_ascii(tmp_path):
     path = tmp_path / "x.meta"
     path.write_bytes(b"k = \xe9\n")
