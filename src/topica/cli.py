@@ -12,9 +12,10 @@ rename only on success, replacing an existing --out as a whole. A command
 returns the report it prints, and `main` prints it only once the output
 is in place.
 Every usage error (exit 1), an --out of the wrong kind (a file for a
-directory command, a directory for render) included, is found before any
-input is read and before anything is created, so a command that fails
-leaves the file system as it was.
+directory command; for render, a directory or a path ending in a
+separator, `.` or `..`) included, is found before any input is read and
+before anything is created, so a command that fails leaves the file
+system as it was.
 """
 
 from __future__ import annotations
@@ -164,24 +165,21 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
     alone, over the defaults, fail with the same message.
     """
     flags = {key: value for key, value in (overrides or {}).items() if value is not None}
-    config = RunConfig()
+    file_values = {}
     if path is not None:
         for key, raw in read_meta(path).items():
             if key not in _FIELD_PARSERS:
                 raise ConfigError(f"{path}: unknown config key {key!r}")
             try:
-                setattr(config, key, _FIELD_PARSERS[key](raw))
+                file_values[key] = _FIELD_PARSERS[key](raw)
             except (ValueError, argparse.ArgumentTypeError):
                 raise ConfigError(f"{path}: bad value for {key}: {raw!r}") from None
-    for key, value in flags.items():
-        setattr(config, key, value)
     try:
-        config.validate()
+        return RunConfig(**{**file_values, **flags})
     except ConfigError as exc:
         if path is not None and str(exc) != _validation_error(flags):
             raise ConfigError(f"{path}: {exc}") from None
         raise
-    return config
 
 
 def cmd_train(args, out) -> str:
@@ -439,13 +437,12 @@ def _replacing_output(out: str, directory: bool):
     is interrupted, the `.topica-*` directory is removed and the file
     system is left as it was.
     """
-    top = os.path.abspath(out)
+    out = top = os.path.abspath(out)
     while not os.path.lexists(os.path.dirname(top)):
         top = os.path.dirname(top)
     tmp = os.path.join(os.path.dirname(top), ".topica-" + os.urandom(8).hex())
     new, aside = os.path.join(tmp, "new"), os.path.join(tmp, "old")
-    # A trailing separator is kept: `out` then names a directory, and a file cannot be made there.
-    result = new + os.path.abspath(out)[len(top):] + os.sep * out.endswith(os.sep)
+    result = new + out[len(top):]
     try:
         os.mkdir(tmp, 0o700)    # within `try`, so a signal just after it still removes it
         os.makedirs(result if directory else os.path.dirname(result), exist_ok=True)
@@ -472,10 +469,12 @@ def _check_command_line(args) -> None:
 
     In order: a scoped flag given where it does not apply (otherwise its
     default is filled in) and an analysis without the --model it needs;
-    then an --out that is, or contains, an input or the working directory,
-    an existing --out that the final move could not replace (a
-    non-directory for a directory, a directory for render's file), and a
-    render --out inside an input directory, whose files it could replace;
+    then, on the absolute path that is replaced, an --out that is, or
+    contains, an input or the working directory, an existing --out that
+    the final move could not replace (a non-directory for a directory, a
+    directory for render's file), a render --out whose last component is
+    empty, `.` or `..`, and so names no file, and a render --out inside an
+    input directory, whose files it could replace;
     last, for train, the --config file and the flags merged into
     `args.settings`.
     """
@@ -487,20 +486,23 @@ def _check_command_line(args) -> None:
             setattr(args, name, default)
     if args.command == "analyze" and args.mode != "autocorr" and args.model is None:
         raise ConfigError(f"--model is required for {args.mode} analysis")
-    out = os.path.realpath(args.out)
+    replaced = os.path.abspath(args.out)    # the path `_replacing_output` replaces
+    out = os.path.realpath(replaced)
     inputs = [path for path in (getattr(args, name, None) for name in INPUT_ARGS)
               if path is not None]
     for path in [os.getcwd()] + inputs:
         if os.path.commonpath([out, os.path.realpath(path)]) == out:
             raise ConfigError(f"--out {args.out} contains {path}, which replacing it would delete")
     if args.command == "render":
-        if os.path.isdir(args.out) and not os.path.islink(args.out):
+        if os.path.isdir(replaced) and not os.path.islink(replaced):
             raise ConfigError(f"--out {args.out} is a directory")
+        if os.path.basename(args.out) in ("", ".", ".."):
+            raise ConfigError(f"--out {args.out} must name a file")
         for path in inputs:
             if os.path.commonpath([out, os.path.realpath(path)]) == os.path.realpath(path):
                 raise ConfigError(f"--out {args.out} is inside {path}, "
                                   f"whose files it could replace")
-    elif os.path.lexists(args.out) and not os.path.isdir(args.out):
+    elif os.path.lexists(replaced) and not os.path.isdir(replaced):
         raise ConfigError(f"--out {args.out} exists and is not a directory")
     if args.command == "train":
         args.settings = load_run_config(

@@ -24,7 +24,7 @@ from .errors import (
     OutOfBounds,
     PatchTooLarge,
 )
-from .matrixio import format_float, meta_positive_float, read_meta, read_payload, write_meta
+from .matrixio import format_float, meta_positive_float, read_array, read_meta, write_meta
 
 LUMINANCE_WEIGHTS = (0.299, 0.587, 0.114)
 DEFAULT_FRAME_RATE = 24.0
@@ -294,15 +294,12 @@ def read_image(path) -> GrayImage:
             raise FormatError(f"{path}: bad dimensions {width}x{height}")
         if not 0 < maxval <= 255:
             raise FormatError(f"{path}: only 8-bit images supported, maxval={maxval}")
-        channels = 3 if magic == b"P6" else 1
-        payload = read_payload(f, width * height * channels, path)
-    samples = np.frombuffer(payload, dtype=np.uint8)
+        shape = (height, width, 3) if magic == b"P6" else (height, width)
+        samples = read_array(f, shape, np.uint8, path)
     if maxval < 255 and samples.max() > maxval:
         raise FormatError(f"{path}: a sample exceeds maxval {maxval}")
     raw = samples.astype(np.float64) / maxval
-    if channels == 3:
-        return GrayImage(to_grayscale(raw.reshape(height, width, 3)))
-    return GrayImage(raw.reshape(height, width))
+    return GrayImage(to_grayscale(raw) if magic == b"P6" else raw)
 
 
 def quantize(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -337,8 +334,7 @@ def write_image(path, img: GrayImage, lo: float | None = None, hi: float | None 
         lo = float(values.min())
     if hi is None:
         hi = float(values.max())
-    with open(path, "wb") as f:
-        f.write(pgm_bytes(quantize(values, lo, hi)))
+    write_stack(path, [quantize(values, lo, hi)])
 
 
 def write_stack(path, frames) -> None:

@@ -4,6 +4,10 @@ Matrix file layout: magic ``TICM``, one version byte (1), two uint32
 little-endian fields (rows, cols), then rows*cols float64 little-endian
 values in row-major order.
 
+Every binary payload, a matrix file's here and a PGM/PPM image's in
+`images`, is read by `read_array`: a header declaring more data than
+its file holds is a FormatError, raised before anything is allocated.
+
 Metadata headers are ``key = value`` lines with ``#`` comments, the same
 syntax the CLI config files use. Tables are CSV with one header row.
 """
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import os
 import struct
 
@@ -31,7 +36,7 @@ def write_matrix(path, values: np.ndarray) -> None:
     rows, cols = values.shape
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, VERSION, rows, cols))
-        f.write(values.tobytes(order="C"))
+        f.write(values)    # the contiguous buffer itself, without a bytes copy
 
 
 def read_matrix(path) -> np.ndarray:
@@ -44,25 +49,21 @@ def read_matrix(path) -> np.ndarray:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        _check_payload(f, 8 * rows * cols, path)
-        data = np.empty((rows, cols), dtype="<f8")
-        if f.readinto(data) != data.nbytes:    # read straight into the one array
-            raise FormatError(f"{path}: truncated data")
-    return data.astype(np.float64, copy=False)
+        return read_array(f, (rows, cols), "<f8", path).astype(np.float64, copy=False)
 
 
-def _check_payload(f, size: int, path) -> None:
-    """Check that the open file `f` holds `size` more bytes, so that a header
-    declaring too much fails without a huge read."""
+def read_array(f, shape, dtype, path) -> np.ndarray:
+    """The next `shape` array of `dtype` in the open file `f`, read straight
+    into one array once the bytes that follow are checked to hold it, so a
+    header declaring too much fails before anything is allocated."""
+    size = np.dtype(dtype).itemsize * math.prod(shape)    # Python ints, which cannot wrap
     left = os.fstat(f.fileno()).st_size - f.tell()
     if size > left:
         raise FormatError(f"{path}: header declares {size} bytes of data, but {left} follow")
-
-
-def read_payload(f, size: int, path) -> bytes:
-    """The next `size` bytes of the open file `f`, after `_check_payload`."""
-    _check_payload(f, size, path)
-    return f.read(size)
+    data = np.empty(shape, dtype=dtype)
+    if f.readinto(data) != size:
+        raise FormatError(f"{path}: truncated data")
+    return data
 
 
 def format_float(x) -> str:

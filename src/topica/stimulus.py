@@ -152,19 +152,18 @@ def generate_panning_sequence(scene: GrayImage, window: int, n_frames: int,
         if normalize:
             frame = normalize_image(frame)
         frames.append(frame)
-        x += dx
-        y += dy
-        # Reflect off the pan range so the window never leaves the scene.
-        if span_x:
-            while x < 0 or x > span_x:
-                x = -x if x < 0 else 2 * span_x - x
-                dx = -dx
-        else:
-            x = 0.0
-        if span_y:
-            while y < 0 or y > span_y:
-                y = -y if y < 0 else 2 * span_y - y
-                dy = -dy
-        else:
-            y = 0.0
+        x, dx = _reflect(x, dx, span_x)
+        y, dy = _reflect(y, dy, span_y)
     return FrameSequence(frames=frames, frame_rate=DEFAULT_FRAME_RATE)
+
+
+def _reflect(pos: float, step: float, span: float) -> tuple:
+    """`pos` moved by `step`, reflected off 0 and `span` (reversing `step`
+    each time) until it lies in the pan range; a zero span holds it at 0."""
+    if not span:
+        return 0.0, step
+    pos += step
+    while pos < 0 or pos > span:
+        pos = -pos if pos < 0 else 2 * span - pos
+        step = -step
+    return pos, step

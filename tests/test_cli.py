@@ -5,6 +5,7 @@ import json
 import os
 import re
 import resource
+import shlex
 import shutil
 import signal
 import struct
@@ -17,10 +18,11 @@ import numpy as np
 import pytest
 
 import topica
-from topica.cli import (RunConfig, build_parser, cmd_activate, load_run_config, main,
-                        parse_crop, render_energy_heatmaps)
+from topica.cli import (RunConfig, _check_command_line, build_parser, cmd_activate,
+                        load_run_config, main, parse_crop, render_energy_heatmaps)
 from topica.errors import ConfigError
-from topica.images import FrameSequence, GrayImage, extract_fixed_patches, read_image, write_image
+from topica.images import (FrameSequence, GrayImage, crop_image, extract_fixed_patches, read_image,
+                           resize_to_width, write_image)
 from topica.matrixio import content_hash, read_matrix, read_meta, write_matrix
 from topica.topography import build_topography
 
@@ -227,6 +229,17 @@ class TestTrainCommand:
                      "--radius", "0", "--max-iters", "3"] + TRAIN_FLAGS[:-2])
         assert code == 0
         assert topica.load_basis(out).kind == "ICA"
+
+    def test_one_sample_trains_on_its_holdout(self, tmp_path, image_dir, capsys):
+        # The one patch is held out, which leaves no other row to train on.
+        out = tmp_path / "one"
+        assert main(["train", "--images", str(image_dir), "--out", str(out),
+                     "--n-patches", "1", "--k", "1", "--map-width", "1", "--map-height", "1",
+                     "--radius", "0", "--max-iters", "3"]) == 0
+        assert capsys.readouterr().out.startswith("trained ICA model: 1 units, 3 iterations,")
+        model = topica.load_basis(out)
+        assert model.filters.shape == (1, 1) and np.isclose(abs(model.filters[0, 0]), 1.0)
+        assert all(np.isfinite(record.objective) for record in model.training_log)
 
     def test_config_file_used(self, tmp_path, image_dir):
         conf = tmp_path / "run.conf"
@@ -586,6 +599,21 @@ class TestActivateCommand:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_frames_are_cropped_then_resized_then_normalized(self, tmp_path, model_dir,
+                                                            frames_dir):
+        out = tmp_path / "t"
+        assert main(["activate", "--model", str(model_dir), "--frames", str(frames_dir),
+                     "--crop", "2,3,24,20", "--resize-width", "12", "--origin", "1,2",
+                     "--out", str(out)]) == 0
+        seq = topica.load_sequence(frames_dir)
+        frames = [topica.normalize_image(resize_to_width(crop_image(frame, 3, 2, 20, 24), 12))
+                  for frame in seq.frames]
+        patches = extract_fixed_patches(FrameSequence(frames, seq.frame_rate), (2, 1), 5)
+        expected = topica.compute_activation(topica.load_basis(model_dir),
+                                             topica.load_whitening(model_dir), patches,
+                                             seq.frame_rate)
+        assert np.array_equal(topica.load_trace(out).activations, expected.activations)
+
     def test_bad_crop_exits_1_without_output(self, tmp_path, model_dir, frames_dir):
         out = tmp_path / "t"
         assert main(["activate", "--model", str(model_dir), "--frames", str(frames_dir),
@@ -794,6 +822,19 @@ class TestAnalyzeCommand:
         assert proc.returncode == 0
         assert proc.stderr == ("topica: warning: excluding 1 constant unit series "
                                "from autocorrelation\n")
+
+    def test_constant_unit_is_counted_in_the_summary(self, tmp_path, trace_dir, capsys):
+        trace = tmp_path / "trace"
+        shutil.copytree(trace_dir, trace)
+        activations = read_matrix(trace / "activations.ticm")
+        activations[:, [3, 7]] = 0.5
+        write_matrix(trace / "activations.ticm", activations)
+        out = tmp_path / "a"
+        assert main(["analyze", "--trace", str(trace), "--mode", "autocorr",
+                     "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text()
+        assert summary.splitlines()[1] == "  excluded constant units: 2"
+        assert capsys.readouterr().out == summary
 
     def test_locality_value_in_summary(self, tmp_path, trace_dir, model_dir):
         out = tmp_path / "loc"
@@ -1169,6 +1210,20 @@ class TestRenderCommand:
         assert _tree_bytes(model) == before
         assert os.listdir(tmp_path) == ["model"]
 
+    def test_constant_basis_tile_is_black(self, tmp_path, model_dir):
+        model = tmp_path / "model"
+        shutil.copytree(model_dir, model)
+        basis = read_matrix(model / "basis_matrix.ticm")
+        grid_index = topica.load_basis(model_dir).topo.unit_grid()
+        basis[:, grid_index[1, 2]] = 0.3
+        write_matrix(model / "basis_matrix.ticm", basis)
+        out = tmp_path / "m.pgm"
+        assert main(["render", "--model", str(model), "--out", str(out)]) == 0
+        pixels = np.rint(read_image(out).values * 255)
+        tile = 6    # patch side 5 and one separator line
+        assert not pixels[tile + 1:2 * tile, 2 * tile + 1:3 * tile].any()
+        assert pixels[1:tile, 1:tile].max() == 255
+
     def test_montage_unreadable_model(self, tmp_path):
         assert main(["render", "--model", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "m.pgm")]) == 2
@@ -1192,6 +1247,26 @@ def _tree_bytes(root):
             path = os.path.join(base, name)
             out[os.path.relpath(path, root)] = open(path, "rb").read()
     return out
+
+
+def _readme_commands() -> list:
+    """Each `topica ...` command of README's shell blocks, continued lines joined."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as f:
+        blocks = re.findall(r"^```sh\n(.*?)^```", f.read(), flags=re.M | re.S)
+    commands = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in commands if line.startswith("topica ")]
+
+
+def test_readme_commands_pass_the_command_line_check(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert [argv[1] for argv in commands] == ["train", "activate", "analyze", "render",
+                                              "analyze"]
+    for argv in commands:
+        args = build_parser().parse_args(argv[1:])
+        _check_command_line(args)
+    assert os.listdir(tmp_path) == []
 
 
 class TestDeterminism:
@@ -1265,13 +1340,14 @@ class TestReplacingOutput:
         assert capsys.readouterr().out == ""
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("out", ["m.pgm/", "a/b/m.pgm/"])
-    def test_render_out_naming_a_directory_exits_2(self, tmp_path, model_dir, monkeypatch,
+    @pytest.mark.parametrize("out", ["m.pgm/", "a/b/m.pgm/", "d/."])
+    def test_render_out_naming_a_directory_exits_1(self, tmp_path, model_dir, monkeypatch,
                                                    capsys, out):
-        # A trailing separator names a directory, where render cannot make its file.
+        # A trailing separator or a last component "." names a directory, where
+        # render cannot make its file.
         monkeypatch.chdir(tmp_path)
-        assert main(["render", "--model", str(model_dir), "--out", out]) == 2
-        assert capsys.readouterr().out == ""
+        assert main(["render", "--model", str(model_dir), "--out", out]) == 1
+        assert capsys.readouterr() == ("", f"topica: error: --out {out} must name a file\n")
         assert os.listdir(tmp_path) == []
 
     def test_out_of_the_wrong_kind_exits_1(self, tmp_path, command_argv, capsys):
@@ -1285,10 +1361,11 @@ class TestReplacingOutput:
             out.write_bytes(b"kept")
             refusal = "exists and is not a directory"
         before = _out_bytes(out)
-        assert main(command_argv + ["--out", str(out)]) == 1
-        assert capsys.readouterr() == ("", f"topica: error: --out {out} {refusal}\n")
-        assert _out_bytes(out) == before
-        assert os.listdir(tmp_path) == ["out"]
+        for arg in (str(out), str(out) + os.sep):    # the path replaced has no trailing separator
+            assert main(command_argv + ["--out", arg]) == 1
+            assert capsys.readouterr() == ("", f"topica: error: --out {arg} {refusal}\n")
+            assert _out_bytes(out) == before
+            assert os.listdir(tmp_path) == ["out"]
 
     @pytest.mark.parametrize("command", ["train", "activate", "analyze", "render"])
     def test_failure_creates_nothing(self, tmp_path, monkeypatch, image_dir, model_dir,
