@@ -46,6 +46,8 @@ class ActivationTrace:
         if 0 in self.activations.shape:
             raise DataError(f"trace needs at least one frame and one unit, "
                             f"got shape {self.activations.shape}")
+        if not (np.isfinite(self.frame_rate) and self.frame_rate > 0):
+            raise DataError(f"frame_rate must be finite and > 0, got {self.frame_rate}")
         self.energies = self.activations * self.activations
 
     @property

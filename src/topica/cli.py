@@ -112,8 +112,8 @@ def parse_crop(text: str) -> tuple:
 class RunConfig(estimation.TrainConfig):
     """Training pipeline settings from a `key = value` file and/or flags.
 
-    The training fields and their range checks come from `TrainConfig`;
-    this class adds the pipeline fields and the CLI's `max_iters` default.
+    The training fields, their defaults and their range checks come from
+    `TrainConfig`; this class adds the pipeline fields.
     Each field is both a config key and the `train` flag `--name` (with
     `-` for `_`). Both are parsed by `type(default)`, or by the field's
     `parse` metadata when it has one.
@@ -125,7 +125,6 @@ class RunConfig(estimation.TrainConfig):
     map_width: int = 8
     map_height: int = 8
     radius: int = field(default=1, metadata={"help": "pooling radius; 0 trains plain ICA"})
-    max_iters: int = 200
     crop: tuple | None = field(default=None, metadata={
         "parse": parse_crop, "help": "left,top,width,height applied to every image"})
 
@@ -336,22 +335,16 @@ def render_montage(model: estimation.BasisModel) -> images.GrayImage:
     Tile (x, y) holds the basis of the unit at lattice cell (x, y), each
     tile normalized to the full gray range on its own.
     """
-    topo = model.topo
-    side = model.patch_side
-    tile = side + 1
-    canvas = np.zeros((topo.height * tile + 1, topo.width * tile + 1))
-    grid_index = topo.unit_grid()
-    for y in range(topo.height):
-        for x in range(topo.width):
-            patch = model.basis[:, grid_index[y, x]].reshape(side, side)
-            lo, hi = patch.min(), patch.max()
-            if hi > lo:
-                patch = (patch - lo) / (hi - lo)
-            else:
-                patch = np.zeros_like(patch)
-            canvas[y * tile + 1:y * tile + 1 + side,
-                   x * tile + 1:x * tile + 1 + side] = patch
-    return images.GrayImage(canvas)
+    topo, side = model.topo, model.patch_side
+    tiles = model.basis[:, topo.unit_grid()]    # (side * side, height, width)
+    lo, hi = tiles.min(axis=0), tiles.max(axis=0)
+    fit = hi > lo    # False for a constant or NaN tile, which stays 0
+    scaled = np.zeros_like(tiles)
+    scaled[:, fit] = (tiles[:, fit] - lo[fit]) / (hi[fit] - lo[fit])
+    grid = scaled.reshape(side, side, topo.height, topo.width).transpose(2, 0, 3, 1)
+    canvas = np.pad(grid, ((0, 0), (1, 0), (0, 0), (1, 0)))    # separators above and left
+    canvas = canvas.reshape(topo.height * (side + 1), topo.width * (side + 1))
+    return images.GrayImage(np.pad(canvas, ((0, 1), (0, 1))))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -435,7 +428,8 @@ def _replacing_output(out: str, directory: bool):
     then `top` itself, is moved aside into the `.topica-*` directory first,
     and back if the new output does not move in. If the command fails or
     is interrupted, the `.topica-*` directory is removed and the file
-    system is left as it was.
+    system is left as it was. A `.topica-*` directory that cannot be
+    removed is left behind with a warning naming it.
     """
     out = top = os.path.abspath(out)
     while not os.path.lexists(os.path.dirname(top)):
@@ -453,7 +447,10 @@ def _replacing_output(out: str, directory: bool):
     finally:
         if os.path.lexists(aside) and not os.path.lexists(out):
             os.replace(aside, out)    # the new output never moved in
-        shutil.rmtree(tmp, ignore_errors=True)
+        try:
+            shutil.rmtree(tmp)
+        except OSError as exc:
+            warnings.warn(f"left {tmp} behind: {exc}")
 
 
 def _holds(args, condition: str) -> bool:
@@ -543,7 +540,16 @@ def main(argv=None) -> int:
             _check_command_line(args)
             with _replacing_output(args.out, directory=args.command != "render") as out:
                 report = args.func(args, out)
-            sys.stdout.write(report)
+            try:
+                sys.stdout.write(report)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # Python flushes stdout again at exit; on a closed pipe that
+                # flush would fail too, so stdout is pointed at os.devnull.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise
             return 0
         except TopicaError as exc:
             print(f"topica: error: {exc}", file=sys.stderr)

@@ -76,7 +76,7 @@ class TrainConfig:
 
     step0: float = 0.1
     epsilon: float = 0.005
-    max_iters: int = 500
+    max_iters: int = 200
     tol: float = 1e-4
     seed: int = 0
 

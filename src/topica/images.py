@@ -73,10 +73,6 @@ class PatchSet:
             )
 
     @property
-    def n_samples(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def n_pixels(self) -> int:
         return self.data.shape[1]
 

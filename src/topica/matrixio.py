@@ -6,7 +6,8 @@ values in row-major order.
 
 Every binary payload, a matrix file's here and a PGM/PPM image's in
 `images`, is read by `read_array`: a header declaring more data than
-its file holds is a FormatError, raised before anything is allocated.
+its file holds, or a file that is not a regular file, is a FormatError,
+raised before anything is allocated.
 
 Metadata headers are ``key = value`` lines with ``#`` comments, the same
 syntax the CLI config files use. Tables are CSV with one header row.
@@ -18,6 +19,7 @@ import csv
 import hashlib
 import math
 import os
+import stat
 import struct
 
 import numpy as np
@@ -55,9 +57,13 @@ def read_matrix(path) -> np.ndarray:
 def read_array(f, shape, dtype, path) -> np.ndarray:
     """The next `shape` array of `dtype` in the open file `f`, read straight
     into one array once the bytes that follow are checked to hold it, so a
-    header declaring too much fails before anything is allocated."""
+    header declaring too much fails before anything is allocated. Only a
+    regular file has a size to check: any other file is a FormatError."""
+    status = os.fstat(f.fileno())
+    if not stat.S_ISREG(status.st_mode):
+        raise FormatError(f"{path}: not a regular file")
     size = np.dtype(dtype).itemsize * math.prod(shape)    # Python ints, which cannot wrap
-    left = os.fstat(f.fileno()).st_size - f.tell()
+    left = status.st_size - f.tell()
     if size > left:
         raise FormatError(f"{path}: header declares {size} bytes of data, but {left} follow")
     data = np.empty(shape, dtype=dtype)

@@ -121,8 +121,7 @@ def _subpixel_crop(values: np.ndarray, row: float, col: float, window: int) -> n
 
 
 def generate_panning_sequence(scene: GrayImage, window: int, n_frames: int,
-                              speed: float = 0.1, seed: int = 0,
-                              normalize: bool = True) -> FrameSequence:
+                              speed: float = 0.1, seed: int = 0) -> FrameSequence:
     """Camera pan: a window crop gliding across a larger scene.
 
     The crop origin starts at a seeded position and moves along a seeded
@@ -130,7 +129,7 @@ def generate_panning_sequence(scene: GrayImage, window: int, n_frames: int,
     borders. Motion is sub-pixel: frames are bilinearly interpolated at
     the fractional origin, so consecutive frames change smoothly instead
     of jumping a whole pixel at a time. Each frame is normalized to zero
-    mean, unit variance unless told otherwise.
+    mean, unit variance.
     """
     if window < 1:
         raise BadSpec(f"window must be >= 1, got {window}")
@@ -148,10 +147,7 @@ def generate_panning_sequence(scene: GrayImage, window: int, n_frames: int,
     dy = speed * np.sin(angle)
     frames = []
     for _ in range(n_frames):
-        frame = GrayImage(_subpixel_crop(scene.values, y, x, window))
-        if normalize:
-            frame = normalize_image(frame)
-        frames.append(frame)
+        frames.append(normalize_image(GrayImage(_subpixel_crop(scene.values, y, x, window))))
         x, dx = _reflect(x, dx, span_x)
         y, dy = _reflect(y, dy, span_y)
     return FrameSequence(frames=frames, frame_rate=DEFAULT_FRAME_RATE)

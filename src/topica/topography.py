@@ -86,23 +86,14 @@ def build_topography(width: int, height: int, radius: int) -> Topography:
 
 
 def shuffle_topography(topo: Topography, seed: int) -> Topography:
-    """Randomly permute the unit-to-cell assignment (seeded, reproducible).
+    """Randomly permute the unit-to-cell assignment (seeded, reproducible):
+    for the sampled permutation perm, unit i takes the cell of unit perm[i].
 
     The returned lattice has h' = P h P^T for the sampled permutation
     matrix P, so row sums, symmetry, and the unit diagonal are preserved.
     """
     perm = np.random.default_rng(seed).permutation(topo.n_units)
-    return apply_permutation(topo, perm)
-
-
-def apply_permutation(topo: Topography, perm: np.ndarray) -> Topography:
-    """Reassign unit i to the cell previously held by unit perm[i]."""
-    return Topography(
-        width=topo.width,
-        height=topo.height,
-        radius=topo.radius,
-        permutation=topo.permutation[check_permutation(perm, topo.n_units)],
-    )
+    return Topography(topo.width, topo.height, topo.radius, topo.permutation[perm])
 
 
 def adjacent_pairs(topo: Topography) -> np.ndarray:

@@ -78,7 +78,6 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip rows so each eigenvector's largest-magnitude entry is positive."""
     idx = np.argmax(np.abs(vectors), axis=1)
     signs = np.sign(vectors[np.arange(vectors.shape[0]), idx])
-    signs[signs == 0] = 1.0
     return vectors * signs[:, None]
 
 

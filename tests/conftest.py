@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -35,3 +38,30 @@ def small_tica(small_patches, small_whitening, small_topo):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def fed_fifo():
+    """`feed(path, data)` makes a FIFO at `path` that a thread fills with
+    `data` once a reader opens it."""
+    threads = []
+
+    def feed(path, data):
+        os.mkfifo(path)
+
+        def write():
+            try:
+                with open(path, "wb") as f:
+                    f.write(data)
+            except BrokenPipeError:    # the reader closed it before reading everything
+                pass
+
+        thread = threading.Thread(target=write, daemon=True)
+        thread.start()
+        threads.append((path, thread))
+
+    yield feed
+    for path, thread in threads:
+        while thread.is_alive():    # no reader opened it: let the writer's `open` return
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+            thread.join(0.1)

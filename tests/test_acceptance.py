@@ -230,7 +230,8 @@ def test_criterion_08_adjacent_energy_correlation_pattern(model_pairs, whitening
         details.append(f"s{s} r={adj_t.mean_r:.2f}/{adj_i.mean_r:.2f}/{adj_s.mean_r:.2f}"
                        f" p={p_ti:.3f}/{p_ts:.3f}/{p_is:.3f}")
     report("adjacent energies: lattice > independent, shuffled control not",
-           wins >= 8, f"{wins}/10 seeds pass the significant/significant/ns pattern")
+           wins >= 8, f"{wins}/10 seeds pass the significant/significant/ns pattern: "
+                      + "; ".join(details))
 
 
 def test_criterion_09_autocorrelation_pattern(model_pairs, whitening, panning_patches,

@@ -11,7 +11,7 @@ from topica.activation import (
     save_trace,
     shuffle_frames,
 )
-from topica.errors import DimensionMismatch, ModelMismatch
+from topica.errors import DataError, DimensionMismatch, ModelMismatch
 from topica.images import PatchSet
 from topica.matrixio import read_matrix
 
@@ -72,6 +72,14 @@ def test_shuffle_frames_permutes_rows(trace):
 def test_trace_shape_validation():
     with pytest.raises(DimensionMismatch):
         ActivationTrace(activations=np.zeros(4), frame_rate=24.0, model_ref="m")
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+def test_bad_frame_rate_rejected(small_tica, small_whitening, small_patches, rate):
+    # Such a trace would save, but load_trace refuses its frame rate.
+    subset = PatchSet(small_patches.data[:5], small_patches.patch_side)
+    with pytest.raises(DataError, match="frame_rate must be finite and > 0"):
+        compute_activation(small_tica, small_whitening, subset, frame_rate=rate)
 
 
 def test_energies_are_derived_not_passed():

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import itertools
 import json
 import os
@@ -53,8 +54,7 @@ def model_dir(tmp_path_factory, image_dir):
 def frames_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("frames")
     scene = topica.generate_dead_leaves(96, 96, 120, seed=30, min_radius=2, max_radius=12)
-    seq = topica.generate_panning_sequence(scene, 32, 40, speed=0.5, seed=2,
-                                           normalize=False)
+    seq = topica.generate_panning_sequence(scene, 32, 40, speed=0.5, seed=2)
     topica.save_sequence(seq, directory)
     return directory
 
@@ -292,6 +292,16 @@ class TestTrainCommand:
         (bad / "x.pgm").write_bytes(b"P5\n4 x\n255\n" + bytes(16))
         assert main(["train", "--images", str(bad), "--out", str(tmp_path / "m")]) == 2
         assert "x.pgm" in capsys.readouterr().err
+
+    def test_fifo_image_is_a_data_error_naming_it(self, tmp_path, image_dir, fed_fifo, capsys):
+        images = tmp_path / "imgs"
+        shutil.copytree(image_dir, images)
+        fifo = images / "zz_fifo.pgm"
+        fed_fifo(fifo, (image_dir / "leaves_21.pgm").read_bytes())
+        assert main(["train", "--images", str(images), "--out", str(tmp_path / "m")]
+                    + TRAIN_FLAGS) == 2
+        assert capsys.readouterr() == ("", f"topica: error: {fifo}: not a regular file\n")
+        assert os.listdir(tmp_path) == ["imgs"]
 
     def test_prints_stop_reason(self, tmp_path, image_dir, capsys):
         out = tmp_path / "m"
@@ -1324,6 +1334,47 @@ class TestReplacingOutput:
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
         assert _out_bytes(out) == before
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_failed_cleanup_warns_and_exits_0(self, tmp_path, command_argv, monkeypatch,
+                                              capsys):
+        out = tmp_path / "out"
+        argv = command_argv + ["--out", str(out)]
+        assert main(argv) == 0
+        report = capsys.readouterr().out
+        rmdir = os.rmdir
+
+        def rmdir_refusing_the_temporary_directory(path, *args, **kwargs):
+            if os.path.basename(path).startswith(".topica-"):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            rmdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "rmdir", rmdir_refusing_the_temporary_directory)
+        assert main(argv) == 0
+        left = tmp_path / next(name for name in os.listdir(tmp_path) if name != "out")
+        assert left.name.startswith(".topica-")
+        assert capsys.readouterr() == (report, f"topica: warning: left {left} behind: "
+                                               f"[Errno 13] Permission denied: '{left}'\n")
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_exits_2_and_keeps_the_output(self, tmp_path, trace_dir, unbuffered):
+        # Python's flush of stdout at exit fails on a closed pipe too, unless
+        # stdout is unbuffered; either way one error line is all of stderr.
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(topica.__file__)))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "topica.cli", "analyze", "--mode",
+                                   "autocorr", "--trace", str(trace_dir), "--out", str(out)],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (2, "topica: error: [Errno 32] Broken pipe\n")
+        assert sorted(os.listdir(out)) == ["autocorr.csv", "summary.txt"]
         assert os.listdir(tmp_path) == ["out"]
 
     def test_failed_final_move_creates_nothing(self, tmp_path, command_argv, monkeypatch,

@@ -364,7 +364,7 @@ class TestTrainMemory:
         whitening = topica.fit_whitening(patches, 16)
         topo = build_topography(4, 4, 1)
         pixels = patches.data.copy()
-        z_bytes = patches.n_samples * whitening.k * 8
+        z_bytes = len(patches.data) * whitening.k * 8
         train(patches, whitening, topo, TrainConfig(max_iters=1))    # imports made on first use
         tracemalloc.start()
         try:
@@ -397,8 +397,10 @@ class TestThreadCount:
     TRAIN = ("import sys\n"
              "from topica import PatchSet, TrainConfig, build_topography, load_whitening, train\n"
              "from topica.matrixio import read_matrix\n"
-             "patches = PatchSet(read_matrix(sys.argv[1]), 9)\n"
-             "model = train(patches, load_whitening(sys.argv[2]), build_topography(8, 8, 1),\n"
+             "side, width = int(sys.argv[3]), int(sys.argv[4])\n"
+             "patches = PatchSet(read_matrix(sys.argv[1]), side)\n"
+             "topo = build_topography(width, width, 1)\n"
+             "model = train(patches, load_whitening(sys.argv[2]), topo,\n"
              "              TrainConfig(max_iters=3, tol=0.0))\n"
              "print(model.filters.tobytes().hex())\n")
 
@@ -406,18 +408,29 @@ class TestThreadCount:
         # 1990 patches leave 1592 training rows: one block of CHUNK and a
         # partial block of 568 rows. Unpadded, OpenBLAS 0.3.31 sums that
         # block's gradient product in another order at 1 and at 2 threads.
-        data = np.random.default_rng(0).standard_normal((1990, 81)) ** 3
+        self.assert_same_filters_at_1_and_2_threads(tmp_path, 1990, 9, 8)
+
+    def test_wide_training_bits_do_not_depend_on_it(self, tmp_path):
+        # The wide workload's shapes: 1200 training rows end in a partial
+        # block of 176, and the 300 held-out rows and the 144x144
+        # orthonormalization run at wide's sizes.
+        self.assert_same_filters_at_1_and_2_threads(tmp_path, 1500, 16, 12)
+
+    def assert_same_filters_at_1_and_2_threads(self, tmp_path, rows, side, width):
+        data = np.random.default_rng(0).standard_normal((rows, side * side)) ** 3
+        k = width * width
         write_matrix(tmp_path / "patches.ticm", data)
-        topica.save_whitening(topica.fit_whitening(topica.PatchSet(data, 9), 64), tmp_path)
+        topica.save_whitening(topica.fit_whitening(topica.PatchSet(data, side), k), tmp_path)
         filters = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        PYTHONPATH=os.path.dirname(os.path.dirname(topica.__file__)))
             proc = subprocess.run([sys.executable, "-c", self.TRAIN,
-                                   str(tmp_path / "patches.ticm"), str(tmp_path)],
+                                   str(tmp_path / "patches.ticm"), str(tmp_path),
+                                   str(side), str(width)],
                                   capture_output=True, text=True, env=env, check=True)
             filters.append(proc.stdout)
-        assert len(filters[0]) == 2 * 64 * 64 * 8 + 1
+        assert len(filters[0]) == 2 * k * k * 8 + 1
         assert filters[0] == filters[1]
 
 

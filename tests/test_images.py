@@ -337,6 +337,12 @@ class TestPnmIO:
         with pytest.raises(FormatError, match=r"x\.pgm: unexpected end of file"):
             read_image(path)
 
+    def test_fifo_is_refused_naming_it(self, tmp_path, fed_fifo):
+        path = tmp_path / "x.pgm"
+        fed_fifo(path, pgm_bytes(np.zeros((4, 4), dtype=np.uint8)))
+        with pytest.raises(FormatError, match=r"x\.pgm: not a regular file"):
+            read_image(path)
+
     def test_to_grayscale_weights(self):
         rgb = np.zeros((1, 2, 3))
         rgb[0, 0] = [1.0, 0.0, 0.0]

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from topica.errors import BadSpec, IndexOutOfRange
+from topica.images import normalize_image
 from topica.stimulus import (
     BarStimulusSpec,
     generate_dead_leaves,
@@ -152,13 +153,8 @@ class TestPanning:
             assert abs(frame.values.mean()) < 1e-10
             assert abs(frame.values.var() - 1.0) < 1e-10
 
-    def test_normalize_off_keeps_scene_values(self, scene):
-        seq = generate_panning_sequence(scene, 32, 5, seed=2, normalize=False)
-        assert seq.frames[0].values.min() >= scene.values.min() - 1e-12
-        assert seq.frames[0].values.max() <= scene.values.max() + 1e-12
-
     def test_zero_speed_repeats_frame(self, scene):
-        seq = generate_panning_sequence(scene, 32, 4, speed=0.0, seed=3, normalize=False)
+        seq = generate_panning_sequence(scene, 32, 4, speed=0.0, seed=3)
         for frame in seq.frames[1:]:
             npt.assert_array_equal(frame.values, seq.frames[0].values)
 
@@ -170,13 +166,13 @@ class TestPanning:
 
     def test_long_pan_stays_in_bounds(self, scene):
         # Many reflections; the window must never leave the scene.
-        seq = generate_panning_sequence(scene, 80, 400, speed=2.5, seed=5, normalize=False)
+        seq = generate_panning_sequence(scene, 80, 400, speed=2.5, seed=5)
         assert len(seq) == 400
 
     def test_window_equals_scene(self, scene):
-        seq = generate_panning_sequence(scene, 96, 3, speed=1.0, seed=6, normalize=False)
+        seq = generate_panning_sequence(scene, 96, 3, speed=1.0, seed=6)
         for frame in seq.frames:
-            npt.assert_array_equal(frame.values, scene.values)
+            npt.assert_array_equal(frame.values, normalize_image(scene).values)
 
     def test_window_too_large(self, scene):
         with pytest.raises(BadSpec):

@@ -8,7 +8,6 @@ from topica.errors import BadDimensions, BadPermutation
 from topica.topography import (
     Topography,
     adjacent_pairs,
-    apply_permutation,
     build_topography,
     pairwise_distances,
     shuffle_topography,
@@ -102,10 +101,10 @@ def test_shuffle_is_seeded():
     assert not np.array_equal(a.permutation, c.permutation)
 
 
-def test_apply_permutation_relabels_h():
+def test_permuted_topography_relabels_h():
     topo = build_topography(4, 4, 1)
     perm = np.random.default_rng(0).permutation(16)
-    relabeled = apply_permutation(topo, perm)
+    relabeled = Topography(width=4, height=4, radius=1, permutation=perm)
     for i in range(16):
         for j in range(16):
             assert relabeled.h[i, j] == topo.h[perm[i], perm[j]]
@@ -114,18 +113,18 @@ def test_apply_permutation_relabels_h():
 def test_inverse_permutation_restores_layout():
     topo = build_topography(5, 5, 2)
     perm = np.random.default_rng(7).permutation(25)
-    there = apply_permutation(topo, perm)
-    back = apply_permutation(there, np.argsort(perm))
+    there = Topography(width=5, height=5, radius=2, permutation=perm)
+    back = Topography(width=5, height=5, radius=2,
+                      permutation=there.permutation[np.argsort(perm)])
     npt.assert_array_equal(back.h, topo.h)
     npt.assert_array_equal(back.permutation, topo.permutation)
 
 
 def test_bad_permutation_rejected():
-    topo = build_topography(4, 4, 1)
     with pytest.raises(BadPermutation):
-        apply_permutation(topo, np.zeros(16, dtype=np.intp))
+        Topography(width=4, height=4, radius=1, permutation=np.zeros(16, dtype=np.intp))
     with pytest.raises(BadPermutation):
-        apply_permutation(topo, np.arange(15))
+        Topography(width=4, height=4, radius=1, permutation=np.arange(15))
     with pytest.raises(BadPermutation):
         Topography(width=4, height=4, radius=1, permutation=np.arange(1, 17))
 
@@ -133,7 +132,6 @@ def test_bad_permutation_rejected():
 # Every caller of the one permutation check, each on a 2x2 lattice of 4 units.
 PERMUTATION_CALLERS = {
     "Topography": lambda perm: Topography(width=2, height=2, radius=0, permutation=perm),
-    "apply_permutation": lambda perm: apply_permutation(build_topography(2, 2, 0), perm),
 }
 
 
