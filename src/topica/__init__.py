@@ -11,7 +11,6 @@ from .activation import (
     load_trace,
     reconstruct,
     save_trace,
-    shuffle_frames,
 )
 from .analysis import (
     AdjacencyReport,
@@ -41,7 +40,6 @@ from .images import (
     PatchSet,
     extract_fixed_patches,
     extract_patches_from_images,
-    extract_random_patches,
     load_images,
     load_sequence,
     normalize_image,
@@ -74,14 +72,12 @@ __all__ = [
     "TopicaError", "TrainConfig", "WhiteningModel", "adjacent_correlation",
     "adjacent_pairs", "autocorrelation", "build_topography", "cluster_locality",
     "compare_adjacency", "compute_activation", "dewhiten",
-    "extract_fixed_patches", "extract_patches_from_images",
-    "extract_random_patches", "fit_whitening", "generate_dead_leaves",
-    "generate_moving_bar", "generate_panning_sequence",
+    "extract_fixed_patches", "extract_patches_from_images", "fit_whitening",
+    "generate_dead_leaves", "generate_moving_bar", "generate_panning_sequence",
     "generate_single_basis_probe", "ica_train", "load_basis", "load_images",
     "load_sequence", "load_trace", "load_whitening", "normalize_image",
     "pairwise_distances", "permutation_test", "read_image",
     "reconstruct", "save_basis", "save_sequence", "save_trace",
-    "save_whitening", "shuffle_frames", "shuffle_topography",
-    "symmetric_orthonormalize", "tica_gradient", "tica_objective",
-    "train", "whiten", "write_image",
+    "save_whitening", "shuffle_topography", "symmetric_orthonormalize",
+    "tica_gradient", "tica_objective", "train", "whiten", "write_image",
 ]

@@ -9,7 +9,7 @@ as per-unit time series.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,14 +82,7 @@ def reconstruct(model: BasisModel, trace: ActivationTrace) -> PatchSet:
     if trace.model_ref != model.identity_hash():
         raise ModelMismatch("trace was computed from a different basis model")
     data = trace.activations @ model.basis.T
-    return PatchSet(data=data, patch_side=model.patch_side, per_patch_mean_removed=False)
-
-
-def shuffle_frames(trace: ActivationTrace, seed: int) -> ActivationTrace:
-    """Seeded random permutation of the frame axis (temporal control)."""
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(trace.n_frames)
-    return replace(trace, activations=trace.activations[order])
+    return PatchSet(data=data, patch_side=model.patch_side)
 
 
 def save_trace(trace: ActivationTrace, directory) -> None:

@@ -13,9 +13,9 @@ returns the report it prints, and `main` prints it only once the output
 is in place.
 Every usage error (exit 1), an --out of the wrong kind (a file for a
 directory command; for render, a directory or a path ending in a
-separator, `.` or `..`) included, is found before any input is read and
-before anything is created, so a command that fails leaves the file
-system as it was.
+separator, `.` or `..`) or beneath a non-directory included, is found
+before any input is read and before anything is created, so a command
+that fails leaves the file system as it was.
 """
 
 from __future__ import annotations
@@ -415,6 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _highest_missing(path: str) -> str:
+    """The highest missing ancestor of the absolute `path`, or `path` if its parent exists."""
+    while not os.path.lexists(os.path.dirname(path)):
+        path = os.path.dirname(path)
+    return path
+
+
 @contextlib.contextmanager
 def _replacing_output(out: str, directory: bool):
     """Yield a temporary path, which replaces `out` on success.
@@ -431,9 +438,8 @@ def _replacing_output(out: str, directory: bool):
     system is left as it was. A `.topica-*` directory that cannot be
     removed is left behind with a warning naming it.
     """
-    out = top = os.path.abspath(out)
-    while not os.path.lexists(os.path.dirname(top)):
-        top = os.path.dirname(top)
+    out = os.path.abspath(out)
+    top = _highest_missing(out)
     tmp = os.path.join(os.path.dirname(top), ".topica-" + os.urandom(8).hex())
     new, aside = os.path.join(tmp, "new"), os.path.join(tmp, "old")
     result = new + out[len(top):]
@@ -447,10 +453,11 @@ def _replacing_output(out: str, directory: bool):
     finally:
         if os.path.lexists(aside) and not os.path.lexists(out):
             os.replace(aside, out)    # the new output never moved in
-        try:
-            shutil.rmtree(tmp)
-        except OSError as exc:
-            warnings.warn(f"left {tmp} behind: {exc}")
+        if os.path.lexists(tmp):    # not if os.mkdir failed
+            try:
+                shutil.rmtree(tmp)
+            except OSError as exc:
+                warnings.warn(f"left {tmp} behind: {exc}")
 
 
 def _holds(args, condition: str) -> bool:
@@ -466,7 +473,8 @@ def _check_command_line(args) -> None:
 
     In order: a scoped flag given where it does not apply (otherwise its
     default is filled in) and an analysis without the --model it needs;
-    then, on the absolute path that is replaced, an --out that is, or
+    then, on the absolute path that is replaced, an --out beneath a
+    non-directory, where nothing can be made, an --out that is, or
     contains, an input or the working directory, an existing --out that
     the final move could not replace (a non-directory for a directory, a
     directory for render's file), a render --out whose last component is
@@ -484,6 +492,9 @@ def _check_command_line(args) -> None:
     if args.command == "analyze" and args.mode != "autocorr" and args.model is None:
         raise ConfigError(f"--model is required for {args.mode} analysis")
     replaced = os.path.abspath(args.out)    # the path `_replacing_output` replaces
+    parent = os.path.dirname(_highest_missing(replaced))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out {args.out} is beneath {parent}, which is not a directory")
     out = os.path.realpath(replaced)
     inputs = [path for path in (getattr(args, name, None) for name in INPUT_ARGS)
               if path is not None]

@@ -84,14 +84,14 @@ class TrainConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.step0 <= 0:
-            raise ConfigError(f"step0 must be > 0, got {self.step0}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        if not (np.isfinite(self.step0) and self.step0 > 0):
+            raise ConfigError(f"step0 must be finite and > 0, got {self.step0}")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol < 0:
-            raise ConfigError(f"tol must be >= 0, got {self.tol}")
+        if not (np.isfinite(self.tol) and self.tol >= 0):
+            raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -259,10 +259,15 @@ def symmetric_orthonormalize(filters: np.ndarray) -> np.ndarray:
     """Project onto the nearest matrix with orthonormal rows.
 
     Computes (W W^T)^(-1/2) W through the eigendecomposition of W W^T.
-    Raises SingularMatrix when W W^T has condition number above 1e12.
+    Raises Diverged when W W^T is not finite (a step so large that it
+    overflows, say), and SingularMatrix when its condition number is
+    above 1e12.
     """
     filters = np.asarray(filters, dtype=np.float64)
-    gram = filters @ filters.T
+    with np.errstate(over="ignore", invalid="ignore"):    # reported as Diverged below
+        gram = filters @ filters.T
+    if not np.all(np.isfinite(gram)):
+        raise Diverged("filter Gram matrix is not finite")
     vals, vecs = np.linalg.eigh(gram)
     if vals[-1] <= 0 or vals[0] <= 0 or vals[-1] / vals[0] > 1e12:
         raise SingularMatrix("filter Gram matrix is numerically singular")

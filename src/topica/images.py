@@ -4,8 +4,7 @@ Images are kept as float64 matrices in (height, width) layout. On disk
 the package speaks binary PGM (P5, 8-bit), writing frame stacks as one
 multi-image PGM file; color PPM (P6) input is converted to grayscale
 with the 0.299/0.587/0.114 luminance weights.
-Patches are flattened row-major and carry their own DC (per-patch mean)
-removal flag.
+Patches are flattened row-major.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ class PatchSet:
 
     data: np.ndarray
     patch_side: int
-    per_patch_mean_removed: bool = False
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -103,8 +101,6 @@ class FrameSequence:
 def normalize_image(img: GrayImage) -> GrayImage:
     """Shift and scale to zero mean and unit (population) variance."""
     values = img.values
-    if values.size < 2:
-        raise DataError("need at least 2 pixels to normalize")
     mean = values.mean()
     var = values.var()
     if var == 0.0:
@@ -112,26 +108,16 @@ def normalize_image(img: GrayImage) -> GrayImage:
     return GrayImage((values - mean) / np.sqrt(var))
 
 
-def _patch_rows(patch_side: int, count: int) -> np.ndarray:
-    """An unfilled (count, patch_side^2) array, after checking both sizes."""
-    if patch_side < 1:
-        raise DataError(f"patch_side must be >= 1, got {patch_side}")
-    if count < 1:
-        raise DataError(f"count must be >= 1, got {count}")
-    return np.empty((count, patch_side * patch_side))
-
-
 def _crop_patches(img: GrayImage, side: int, out: np.ndarray, seed: int) -> None:
-    """Fill the rows of `out` with side x side crops of `img`, flattened
-    row-major, at uniformly random locations drawn from `seed`, each with
-    its own mean subtracted.
+    """Fill the rows of `out` with side x side crops of `img`, which the
+    caller has checked are no larger than it, flattened row-major, at
+    uniformly random locations drawn from `seed`, each with its own mean
+    subtracted.
 
     Crops are gathered and centred in blocks of at most CROP_BLOCK_PIXELS
     pixels (one row at least), so no temporary grows with the number of
     rows; a row's mean is over that row alone, whatever its block.
     """
-    if side > min(img.width, img.height):
-        raise PatchTooLarge(f"patch_side {side} exceeds image size {img.width}x{img.height}")
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, img.height - side + 1, size=len(out))
     cols = rng.integers(0, img.width - side + 1, size=len(out))
@@ -144,41 +130,40 @@ def _crop_patches(img: GrayImage, side: int, out: np.ndarray, seed: int) -> None
         block -= block.mean(axis=1, keepdims=True)
 
 
-def extract_random_patches(img: GrayImage, patch_side: int, count: int, seed: int) -> PatchSet:
-    """Extract `count` square patches at uniformly random locations.
-
-    Each patch is flattened row-major and has its own mean subtracted.
-    The same seed always yields bit-identical output.
-    """
-    out = _patch_rows(patch_side, count)
-    _crop_patches(img, patch_side, out, seed)
-    return PatchSet(out, patch_side, per_patch_mean_removed=True)
-
-
 def per_image_seed(master_seed: int, image_index: int) -> int:
     """Derive a deterministic per-image seed from the master seed."""
     return int(np.random.SeedSequence([master_seed, image_index]).generate_state(1)[0])
 
 
 def extract_patches_from_images(images, patch_side: int, count: int, seed: int) -> PatchSet:
-    """Split a total patch budget across images, earlier images first.
+    """Cut `count` square patches at uniformly random locations, splitting
+    the budget across the list `images`, earlier images first.
 
-    Per-image extraction is seeded independently via `per_image_seed`, so
-    the result is the per-image `extract_random_patches` results stacked
-    in image order, but filled into one array.
+    Each patch is flattened row-major and has its own mean subtracted.
+    Image i's patches are drawn from `per_image_seed(seed, i)`, so the
+    same seed always yields bit-identical output. Every image that
+    receives a patch is checked to hold one before the patch array is
+    allocated.
     """
     if not images:
         raise DataError("no images to extract patches from")
-    out = _patch_rows(patch_side, count)
+    if patch_side < 1:
+        raise DataError(f"patch_side must be >= 1, got {patch_side}")
+    if count < 1:
+        raise DataError(f"count must be >= 1, got {count}")
+    used = images[:count]    # with fewer patches than images, the first get one each
+    for img in used:
+        if patch_side > min(img.width, img.height):
+            raise PatchTooLarge(f"patch_side {patch_side} exceeds image size "
+                                f"{img.width}x{img.height}")
+    out = np.empty((count, patch_side * patch_side))
     base, extra = divmod(count, len(images))
     start = 0
-    for i, img in enumerate(images):
+    for i, img in enumerate(used):
         n = base + (1 if i < extra else 0)
-        if n == 0:
-            break
         _crop_patches(img, patch_side, out[start:start + n], per_image_seed(seed, i))
         start += n
-    return PatchSet(out, patch_side, per_patch_mean_removed=True)
+    return PatchSet(out, patch_side)
 
 
 def extract_fixed_patches(seq: FrameSequence, origin, patch_side: int) -> PatchSet:
@@ -198,7 +183,7 @@ def extract_fixed_patches(seq: FrameSequence, origin, patch_side: int) -> PatchS
     for t, fr in enumerate(seq.frames):
         out[t] = fr.values[row:row + patch_side, col:col + patch_side].reshape(-1)
     out -= out.mean(axis=1, keepdims=True)
-    return PatchSet(out, patch_side, per_patch_mean_removed=True)
+    return PatchSet(out, patch_side)
 
 
 def _resample_axis(values: np.ndarray, new_len: int, axis: int) -> np.ndarray:

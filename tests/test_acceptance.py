@@ -164,8 +164,7 @@ def test_criterion_05_single_basis_probes(model_pairs, whitening, report):
     worst_ratio = 0.0
     for unit in range(N_UNITS):
         probe = topica.generate_single_basis_probe(model, unit)
-        patches = PatchSet(probe.values.reshape(1, -1), PATCH_SIDE,
-                           per_patch_mean_removed=True)
+        patches = PatchSet(probe.values.reshape(1, -1), PATCH_SIDE)
         trace = topica.compute_activation(model, whitening, patches)
         magnitudes = np.abs(trace.activations[0])
         order = np.argsort(-magnitudes)

@@ -9,7 +9,6 @@ from topica.activation import (
     load_trace,
     reconstruct,
     save_trace,
-    shuffle_frames,
 )
 from topica.errors import DataError, DimensionMismatch, ModelMismatch
 from topica.images import PatchSet
@@ -18,8 +17,7 @@ from topica.matrixio import read_matrix
 
 @pytest.fixture()
 def trace(small_tica, small_whitening, small_patches):
-    subset = PatchSet(small_patches.data[:40], small_patches.patch_side,
-                      per_patch_mean_removed=True)
+    subset = PatchSet(small_patches.data[:40], small_patches.patch_side)
     return compute_activation(small_tica, small_whitening, subset, frame_rate=12.0)
 
 
@@ -49,7 +47,6 @@ def test_reconstruction_matches_basis_combination(small_tica, trace):
     expected = trace.activations @ small_tica.basis.T
     npt.assert_allclose(recon.data, expected, atol=1e-12)
     assert recon.patch_side == small_tica.patch_side
-    assert not recon.per_patch_mean_removed
 
 
 def test_reconstruct_checks_model(small_tica, small_whitening, small_patches, trace):
@@ -57,16 +54,6 @@ def test_reconstruct_checks_model(small_tica, small_whitening, small_patches, tr
                          topica.TrainConfig(seed=99, max_iters=2))
     with pytest.raises(ModelMismatch):
         reconstruct(other, trace)
-
-
-def test_shuffle_frames_permutes_rows(trace):
-    shuffled = shuffle_frames(trace, seed=4)
-    assert shuffled.n_frames == trace.n_frames
-    npt.assert_array_equal(np.sort(shuffled.activations, axis=0),
-                           np.sort(trace.activations, axis=0))
-    assert not np.array_equal(shuffled.activations, trace.activations)
-    again = shuffle_frames(trace, seed=4)
-    npt.assert_array_equal(shuffled.activations, again.activations)
 
 
 def test_trace_shape_validation():

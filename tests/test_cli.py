@@ -112,7 +112,9 @@ class TestRunConfig:
         ("seed = -1\n", {"k": 65}, "{path}: seed must be >= 0, got -1"),
         ("seed = -1\n", {"seed": -2}, "seed must be >= 0, got -2"),
         ("seed = 1\n", {"k": 65}, "k = 65 but the map has 64 cells"),
-    ], ids=["file", "file-combination", "file-first", "flag-replaces-file", "flag"])
+        ("step0 = nan\n", {}, "{path}: step0 must be finite and > 0, got nan"),
+    ], ids=["file", "file-combination", "file-first", "flag-replaces-file", "flag",
+            "file-not-finite"])
     def test_out_of_range_value_names_its_source(self, tmp_path, text, flags, message):
         path = tmp_path / "run.conf"
         path.write_text(text)
@@ -271,6 +273,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--step0", "0", "step0"), ("--epsilon", "0", "epsilon"), ("--tol", "-1", "tol"),
+        ("--step0", "nan", "step0"), ("--epsilon", "inf", "epsilon"), ("--tol", "nan", "tol"),
         ("--max-iters", "0", "max_iters"),
         ("--radius", "4", "exceeds lattice side"),
     ])
@@ -281,6 +284,23 @@ class TestTrainCommand:
                      flag, value]) == 1
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_overflowing_step_exits_3_on_one_line(self, tmp_path, image_dir, capsys):
+        # The first candidate's Gram matrix overflows to inf.
+        assert main(["train", "--images", str(image_dir), "--out", str(tmp_path / "m"),
+                     "--step0", "1e300"] + TRAIN_FLAGS) == 3
+        assert capsys.readouterr() == ("", "topica: error: filter Gram matrix is not finite\n")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("side", ["100000", "100000000000"])
+    def test_patch_side_beyond_the_images_exits_2_before_allocating(self, tmp_path, image_dir,
+                                                                    capsys, side):
+        # (n_patches, side^2) would not fit in memory, or not even in numpy's shape limit.
+        assert main(["train", "--images", str(image_dir), "--out", str(tmp_path / "m")]
+                    + TRAIN_FLAGS + ["--patch-side", side]) == 2
+        assert capsys.readouterr() == (
+            "", f"topica: error: patch_side {side} exceeds image size 96x96\n")
+        assert os.listdir(tmp_path) == []
 
     def test_inconsistent_k_is_usage_error(self, tmp_path, image_dir):
         assert main(["train", "--images", str(image_dir), "--out", str(tmp_path / "m"),
@@ -1417,6 +1437,36 @@ class TestReplacingOutput:
             assert capsys.readouterr() == ("", f"topica: error: --out {arg} {refusal}\n")
             assert _out_bytes(out) == before
             assert os.listdir(tmp_path) == ["out"]
+
+    def test_out_beneath_a_file_exits_1(self, tmp_path, command_argv, capsys):
+        # Nothing can be made beneath a file, so no .topica-* can be either.
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"kept")
+        name = "m.pgm" if command_argv[0] == "render" else "out"
+        for out in (afile / name, afile / "sub" / name):
+            assert main(command_argv + ["--out", str(out)]) == 1
+            assert capsys.readouterr() == (
+                "", f"topica: error: --out {out} is beneath {afile}, which is not a directory\n")
+            assert os.listdir(tmp_path) == ["afile"]
+            assert afile.read_bytes() == b"kept"
+
+    def test_failed_mkdir_prints_only_the_error(self, tmp_path, command_argv, monkeypatch,
+                                                capsys):
+        # No .topica-* was made, so there is none to remove or to warn about.
+        mkdir = os.mkdir
+
+        def mkdir_refusing_the_temporary_directory(path, *args, **kwargs):
+            if os.path.basename(path).startswith(".topica-"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "mkdir", mkdir_refusing_the_temporary_directory)
+        name = "m.pgm" if command_argv[0] == "render" else "out"
+        assert main(command_argv + ["--out", str(tmp_path / name)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err.count("\n")) == ("", 1)
+        assert err.startswith(f"topica: error: [Errno {errno.ENOSPC}] ")
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command", ["train", "activate", "analyze", "render"])
     def test_failure_creates_nothing(self, tmp_path, monkeypatch, image_dir, model_dir,

@@ -13,6 +13,7 @@ import topica
 from topica.errors import (
     ConfigError,
     DimensionMismatch,
+    Diverged,
     FormatError,
     ModelMismatch,
     SingularMatrix,
@@ -164,6 +165,11 @@ class TestOrthonormalize:
         with pytest.raises(SingularMatrix):
             symmetric_orthonormalize(w)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e300])    # 1e300 overflows the Gram
+    def test_non_finite_gram_rejected(self, value):
+        with pytest.raises(Diverged, match="not finite"):
+            symmetric_orthonormalize(np.full((3, 3), value))
+
     def test_error_measure(self, rng):
         w = symmetric_orthonormalize(rng.standard_normal((6, 6)))
         assert orthonormality_error(w) < 1e-12
@@ -180,6 +186,8 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"step0": 0.0}, {"epsilon": -1.0}, {"max_iters": 0},
         {"tol": -1e-9}, {"seed": -1},
+        {"step0": np.nan}, {"step0": np.inf}, {"epsilon": np.nan}, {"epsilon": np.inf},
+        {"tol": np.nan}, {"tol": np.inf},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):

@@ -19,7 +19,6 @@ from topica.images import (
     crop_image,
     extract_fixed_patches,
     extract_patches_from_images,
-    extract_random_patches,
     load_images,
     load_sequence,
     normalize_image,
@@ -74,10 +73,9 @@ class TestNormalize:
 
 class TestRandomPatches:
     def test_shape_and_mean_removal(self):
-        ps = extract_random_patches(ramp(20, 20), 4, 50, seed=0)
+        ps = extract_patches_from_images([ramp(20, 20)], 4, 50, seed=0)
         assert ps.data.shape == (50, 16)
         assert ps.patch_side == 4
-        assert ps.per_patch_mean_removed
         npt.assert_allclose(ps.data.mean(axis=1), 0.0, atol=1e-12)
 
     def test_no_source_tag(self):
@@ -86,17 +84,17 @@ class TestRandomPatches:
 
     def test_deterministic(self, small_images):
         img = small_images[0]
-        a = extract_random_patches(img, 4, 50, seed=9)
-        b = extract_random_patches(img, 4, 50, seed=9)
+        a = extract_patches_from_images([img], 4, 50, seed=9)
+        b = extract_patches_from_images([img], 4, 50, seed=9)
         npt.assert_array_equal(a.data, b.data)
-        c = extract_random_patches(img, 4, 50, seed=10)
+        c = extract_patches_from_images([img], 4, 50, seed=10)
         assert not np.array_equal(a.data, c.data)
 
     def test_patch_contents_come_from_image(self):
         # On a ramp, a patch is determined by its top-left value: row-major
         # offsets within the patch are fixed relative to it.
         img = ramp(12, 12)
-        ps = extract_random_patches(img, 3, 20, seed=2)
+        ps = extract_patches_from_images([img], 3, 20, seed=2)
         offsets = np.array([0, 1, 2, 12, 13, 14, 24, 25, 26], dtype=np.float64)
         centered = offsets - offsets.mean()
         for row in ps.data:
@@ -104,7 +102,17 @@ class TestRandomPatches:
 
     def test_too_large_patch(self):
         with pytest.raises(PatchTooLarge):
-            extract_random_patches(ramp(4, 4), 5, 1, seed=0)
+            extract_patches_from_images([ramp(4, 4)], 5, 1, seed=0)
+
+    def test_too_large_patch_is_refused_before_allocating(self):
+        # (1, side^2) pixels at this side is beyond what numpy can even shape.
+        with pytest.raises(PatchTooLarge, match="patch_side 100000000000 exceeds image size 4x4"):
+            extract_patches_from_images([ramp(4, 4)], 10**11, 1, seed=0)
+
+    def test_image_without_a_patch_is_not_checked(self):
+        # One patch goes to the first image; the second, too small, gets none.
+        ps = extract_patches_from_images([ramp(20, 20), ramp(4, 4)], 5, 1, seed=0)
+        assert ps.data.shape == (1, 25)
 
 
 def per_row_crops(img, side, count, seed):
@@ -126,20 +134,20 @@ class TestBlockedCrops:
     @pytest.mark.parametrize("count", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
     def test_is_the_per_row_loop(self, count):
         img = GrayImage(np.random.default_rng(count).standard_normal((40, 53)))
-        ps = extract_random_patches(img, 12, count, seed=7)
-        assert ps.data.tobytes() == per_row_crops(img, 12, count, 7).tobytes()
+        ps = extract_patches_from_images([img], 12, count, seed=7)
+        assert ps.data.tobytes() == per_row_crops(img, 12, count, per_image_seed(7, 0)).tobytes()
 
     @pytest.mark.parametrize("shape", [(12, 12), (12, 30), (30, 12)])
     def test_patch_side_is_the_image_side(self, shape):
         img = GrayImage(np.random.default_rng(1).standard_normal(shape))
-        ps = extract_random_patches(img, 12, 300, seed=2)
-        assert ps.data.tobytes() == per_row_crops(img, 12, 300, 2).tobytes()
+        ps = extract_patches_from_images([img], 12, 300, seed=2)
+        assert ps.data.tobytes() == per_row_crops(img, 12, 300, per_image_seed(2, 0)).tobytes()
 
     def test_patch_larger_than_a_block(self):
         # 150 x 150 pixels exceed CROP_BLOCK_PIXELS: a block of one row.
         img = GrayImage(np.random.default_rng(3).standard_normal((160, 170)))
-        ps = extract_random_patches(img, 150, 3, seed=4)
-        assert ps.data.tobytes() == per_row_crops(img, 150, 3, 4).tobytes()
+        ps = extract_patches_from_images([img], 150, 3, seed=4)
+        assert ps.data.tobytes() == per_row_crops(img, 150, 3, per_image_seed(4, 0)).tobytes()
 
 
 class TestMultiImagePatches:
@@ -154,7 +162,7 @@ class TestMultiImagePatches:
         # 101 does not divide evenly over 3 images; 2 leaves the last image none.
         ps = extract_patches_from_images(small_images, 5, count, seed=4)
         base, extra = divmod(count, len(small_images))
-        parts = [extract_random_patches(img, 5, base + (i < extra), per_image_seed(4, i)).data
+        parts = [per_row_crops(img, 5, base + (i < extra), per_image_seed(4, i))
                  for i, img in enumerate(small_images) if base + (i < extra) > 0]
         assert ps.data.tobytes() == np.concatenate(parts).tobytes()
 
@@ -177,8 +185,8 @@ class TestMultiImagePatches:
         img = ramp(16, 16)
         combined = extract_patches_from_images([img], 4, 30, seed=8)
         seed = np.random.SeedSequence([8, 0]).generate_state(1)[0]
-        direct = extract_random_patches(img, 4, 30, seed=int(seed))
-        npt.assert_array_equal(combined.data, direct.data)
+        direct = per_row_crops(img, 4, 30, int(seed))
+        npt.assert_array_equal(combined.data, direct)
 
 
 class TestFixedPatches:

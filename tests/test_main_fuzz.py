@@ -31,7 +31,8 @@ from topica.images import save_sequence, write_image
 
 INPUT = "in"
 TRAIN_SETTINGS = {"patch_side": "4", "n_patches": "300", "k": "9", "map_width": "3",
-                  "map_height": "3", "radius": "1", "max_iters": "3", "seed": "2"}
+                  "map_height": "3", "radius": "1", "max_iters": "3", "seed": "2",
+                  "step0": "0.1", "epsilon": "0.005", "tol": "0.0001"}
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +73,8 @@ def _bounded(text: str) -> bool:
 # `--h` would be argparse's --help, which prints and exits by design.
 values = st.one_of(
     st.integers(-3, 40).map(str),
-    st.sampled_from(["nan", "inf", "-inf", "0.5", "1e-300", "-0", "1e3", "", " ", "0,0",
-                     "1,2", "-1,0", "0,0,8,8", "1,1,3,3", "2,2,0,1", "9,9,2,2"]),
+    st.sampled_from(["nan", "inf", "-inf", "0.5", "1e-300", "1e300", "-0", "1e3", "", " ",
+                     "0,0", "1,2", "-1,0", "0,0,8,8", "1,1,3,3", "2,2,0,1", "9,9,2,2"]),
     st.text(alphabet="0123456789,.-+_ eExaé", max_size=8),
 ).filter(lambda v: _bounded(v) and not re.match(r"--?h", v))
 

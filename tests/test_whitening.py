@@ -18,7 +18,7 @@ from topica.whitening import (
 def random_patches(rng, count=400, side=4):
     data = rng.standard_normal((count, side * side))
     data = data - data.mean(axis=1, keepdims=True)
-    return PatchSet(data, side, per_patch_mean_removed=True)
+    return PatchSet(data, side)
 
 
 def test_whitened_covariance_is_identity(rng):
@@ -49,7 +49,7 @@ def test_dewhiten_restores_retained_subspace(rng):
     # by dewhiten reproduces the data exactly.
     data = rng.standard_normal((200, 4))
     data = data - data.mean(axis=1, keepdims=True)
-    ps = PatchSet(data, 2, per_patch_mean_removed=True)
+    ps = PatchSet(data, 2)
     model = fit_whitening(ps, 3)
     back = dewhiten(model, whiten(model, ps))
     npt.assert_allclose(back, data, atol=1e-10)
@@ -77,7 +77,7 @@ def test_rank_deficient_rejected(rng):
     # Mean-free 2x2 patches span only 3 dimensions; asking for 4 must fail.
     data = rng.standard_normal((100, 4))
     data = data - data.mean(axis=1, keepdims=True)
-    ps = PatchSet(data, 2, per_patch_mean_removed=True)
+    ps = PatchSet(data, 2)
     with pytest.raises(RankDeficient):
         fit_whitening(ps, 4)
 
@@ -179,7 +179,7 @@ def test_wide_duplicated_rows_rank_deficient(rng, side, distinct):
     # exactly zero and shows only as the Gram matrix's roundoff. 100x100 is
     # the full-scale patch size.
     half = random_patches(rng, count=distinct, side=side).data
-    ps = PatchSet(np.vstack([half, half]), side, per_patch_mean_removed=True)
+    ps = PatchSet(np.vstack([half, half]), side)
     assert fit_whitening(ps, distinct).eigenvalues[-1] > 1e-3
     with pytest.raises(RankDeficient):
         fit_whitening(ps, distinct + 1)
