@@ -15,11 +15,10 @@ import numpy as np
 
 from .errors import DataError, DimensionMismatch, ModelMismatch
 from .estimation import BasisModel, check_model_pairing
-from .images import DEFAULT_FRAME_RATE, PatchSet
+from .images import DEFAULT_FRAME_RATE, PatchSet, check_frame_rate
 from .matrixio import (
     format_float,
-    meta_positive_float,
-    meta_str,
+    meta_value,
     read_matrix,
     read_meta,
     write_matrix,
@@ -46,8 +45,7 @@ class ActivationTrace:
         if 0 in self.activations.shape:
             raise DataError(f"trace needs at least one frame and one unit, "
                             f"got shape {self.activations.shape}")
-        if not (np.isfinite(self.frame_rate) and self.frame_rate > 0):
-            raise DataError(f"frame_rate must be finite and > 0, got {self.frame_rate}")
+        self.frame_rate = check_frame_rate(self.frame_rate)
         self.energies = self.activations * self.activations
 
     @property
@@ -104,7 +102,7 @@ def load_trace(directory) -> ActivationTrace:
     meta = read_meta(meta_path)
     return ActivationTrace(
         activations=read_matrix(os.path.join(directory, ACTIVATIONS_FILE)),
-        frame_rate=meta_positive_float(meta, "frame_rate", meta_path),
-        model_ref=meta_str(meta, "model_ref", meta_path),
+        frame_rate=meta_value(meta, "frame_rate", meta_path, check_frame_rate),
+        model_ref=meta_value(meta, "model_ref", meta_path),
     )
 

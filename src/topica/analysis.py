@@ -63,8 +63,16 @@ class PermutationResult:
     n_permutations: int
 
 
+def _varying(rows: np.ndarray) -> np.ndarray:
+    """Whether each row holds two different values, tested exactly: the mean
+    of equal values need not equal them, so a rounded spread can miss them."""
+    return rows.max(axis=1) > rows.min(axis=1)
+
+
 def _row_correlations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pearson r of each row of `a` with the same row of `b`; NaN for a constant row.
+    """Pearson r of each row of `a` with the same row of `b`; NaN where
+    either row is constant, or where the product of their spreads
+    underflows to 0, as for rows that vary by about 1e-100.
 
     Each row is centered on its own mean, so a drifting series does not
     bias r. Contiguous rows reduce along axis 1 in the same pairwise order
@@ -72,11 +80,12 @@ def _row_correlations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.ascontiguousarray(a)
     b = np.ascontiguousarray(b)
+    varying = _varying(a) & _varying(b)
     a = a - a.mean(axis=1, keepdims=True)
     b = b - b.mean(axis=1, keepdims=True)
     denom = np.sqrt((a * a).sum(axis=1) * (b * b).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(denom == 0.0, np.nan, (a * b).sum(axis=1) / denom)
+        return np.where(varying & (denom > 0.0), (a * b).sum(axis=1) / denom, np.nan)
 
 
 def _nanmean(values: np.ndarray, axis=None):
@@ -114,7 +123,7 @@ def autocorrelation(trace: ActivationTrace, max_lag: int, shuffle_seed: int = 0,
         raise DegenerateSeries(f"max_lag {max_lag} needs at least {max_lag + 2} frames, "
                                f"the trace has {trace.n_frames}")
     values = trace.energies if use_energy else trace.activations
-    included = values.std(axis=0) > 0.0
+    included = _varying(values.T)
     n_excluded = int((~included).sum())
     if n_excluded:
         warnings.warn(f"excluding {n_excluded} constant unit series from autocorrelation",
@@ -140,15 +149,18 @@ def adjacent_correlation(trace: ActivationTrace, topo: Topography) -> AdjacencyR
 
     Pairs at torus distance exactly 1; correlations are Pearson on the
     energy series, and the headline number is their mean (constant-series
-    pairs contribute NaN and are dropped from the mean).
+    pairs contribute NaN and are dropped from the mean; with no other
+    pair, there is no mean).
     """
     if trace.n_units != topo.n_units:
         raise DimensionMismatch(f"trace has {trace.n_units} units, lattice {topo.n_units}")
     pairs = adjacent_pairs(topo)
     energies = trace.energies.T
     correlations = _row_correlations(energies[pairs[:, 0]], energies[pairs[:, 1]])
+    if np.isnan(correlations).all():
+        raise DegenerateSeries("no adjacent pair of units has two varying energy series")
     return AdjacencyReport(pairs=pairs, pair_correlations=correlations,
-                           mean_r=float(_nanmean(correlations)))
+                           mean_r=float(np.nanmean(correlations)))
 
 
 def _usable_cores() -> int:

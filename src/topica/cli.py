@@ -33,7 +33,7 @@ import numpy as np
 
 from . import activation as act
 from . import analysis, estimation, images, stimulus, whitening as whit
-from .errors import BadDimensions, ConfigError, ModelMismatch, TopicaError
+from .errors import BadDimensions, ConfigError, DataError, ModelMismatch, TopicaError
 from .matrixio import format_float, read_meta
 from .topography import Topography, build_topography, shuffle_topography
 
@@ -83,15 +83,12 @@ def _int_at_least(lo: int):
     return integer
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of a finite float flag above 0."""
+def _frame_rate(text: str) -> float:
+    """argparse type of --frame-rate: `images.check_frame_rate`'s rule."""
     try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not (np.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return value
+        return images.check_frame_rate(text)
+    except (ValueError, DataError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_origin(text: str) -> tuple:
@@ -188,7 +185,7 @@ def cmd_train(args, out) -> str:
     its rows in place."""
     config = args.settings
     patches = images.extract_patches_from_images(
-        _prepare_frames(images.load_images(args.images), config.crop),
+        _prepare_frames(images.load_images(args.images), "image", config.crop),
         config.patch_side, config.n_patches, config.seed)
     model_w = whit.fit_whitening(patches, config.k)
     topo = build_topography(config.map_width, config.map_height, config.radius)
@@ -208,18 +205,22 @@ def _centered_origin(seq: images.FrameSequence, patch_side: int) -> tuple:
     return (frame.height - patch_side) // 2, (frame.width - patch_side) // 2
 
 
-def _prepare_frames(frames, crop=None, resize_width=None) -> list:
+def _prepare_frames(frames, noun, crop=None, resize_width=None) -> list:
     """Each image of the list `frames` cropped to `crop` (a `parse_crop`
     tuple), resized to `resize_width`, then normalized; None skips a step.
     Each entry is replaced in place, so the list never holds two versions
-    of one image; it is also returned."""
+    of one image; it is also returned. A DataError is prefixed with
+    `noun` and the image's position in the list, counted from 0."""
     for i, frame in enumerate(frames):
-        if crop is not None:
-            left, top, width, height = crop
-            frame = images.crop_image(frame, top, left, height, width)
-        if resize_width is not None:
-            frame = images.resize_to_width(frame, resize_width)
-        frames[i] = images.normalize_image(frame)
+        try:
+            if crop is not None:
+                left, top, width, height = crop
+                frame = images.crop_image(frame, top, left, height, width)
+            if resize_width is not None:
+                frame = images.resize_to_width(frame, resize_width)
+            frames[i] = images.normalize_image(frame)
+        except DataError as exc:
+            raise type(exc)(f"{noun} {i}: {exc}") from None
     return frames
 
 
@@ -254,7 +255,7 @@ def cmd_activate(args, out) -> str:
     origin = (0, 0)
     if args.frames is not None:
         seq = images.load_sequence(args.frames)
-        _prepare_frames(seq.frames, args.crop, args.resize_width)
+        _prepare_frames(seq.frames, "frame", args.crop, args.resize_width)
         if args.origin is not None:
             left, top = args.origin
             origin = (top, left)
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_act.add_argument("--crop", type=parse_crop,
                        help="left,top,width,height applied to every frame")
     p_act.add_argument("--resize-width", type=_int_at_least(1))
-    p_act.add_argument("--frame-rate", type=_positive_float)
+    p_act.add_argument("--frame-rate", type=_frame_rate)
     p_act.add_argument("--bar-frames", type=_int_at_least(1))
     p_act.add_argument("--bar-thickness", type=_int_at_least(1))
     p_act.set_defaults(func=cmd_activate)

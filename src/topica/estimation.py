@@ -38,10 +38,7 @@ from .images import PatchSet
 from .matrixio import (
     content_hash,
     format_float,
-    meta_float,
-    meta_int,
-    meta_ints,
-    meta_str,
+    meta_value,
     read_matrix,
     read_meta,
     write_matrix,
@@ -445,17 +442,18 @@ def load_basis(directory) -> BasisModel:
     basis = read_matrix(os.path.join(directory, BASIS_FILE))
     permutation = None
     if "permutation" in meta:
-        permutation = meta_ints(meta, "permutation", meta_path)
+        permutation = meta_value(meta, "permutation", meta_path,
+                                 lambda raw: np.array([int(v) for v in raw.split(",")], np.intp))
     stop_reason = None
     if "stop_reason" in meta:    # absent from models saved before it was recorded
-        stop_reason = meta_str(meta, "stop_reason", meta_path)
+        stop_reason = meta_value(meta, "stop_reason", meta_path)
         if stop_reason not in STOP_REASONS:
             raise FormatError(f"{meta_path}: stop_reason must be one of "
                               f"{', '.join(STOP_REASONS)}, got {stop_reason!r}")
     topo = Topography(
-        width=meta_int(meta, "map_width", meta_path),
-        height=meta_int(meta, "map_height", meta_path),
-        radius=meta_int(meta, "radius", meta_path),
+        width=meta_value(meta, "map_width", meta_path, int),
+        height=meta_value(meta, "map_height", meta_path, int),
+        radius=meta_value(meta, "radius", meta_path, int),
         permutation=permutation,
     )
     if filters.shape[0] != topo.n_units:
@@ -472,13 +470,13 @@ def load_basis(directory) -> BasisModel:
         filters=filters,
         basis=basis,
         topo=topo,
-        whitening_ref=meta_str(meta, "whitening_ref", meta_path),
-        epsilon=meta_float(meta, "epsilon", meta_path),
-        seed=meta_int(meta, "seed", meta_path),
+        whitening_ref=meta_value(meta, "whitening_ref", meta_path),
+        epsilon=meta_value(meta, "epsilon", meta_path, float),
+        seed=meta_value(meta, "seed", meta_path, int),
         training_log=log,
         stop_reason=stop_reason,
     )
-    kind = meta_str(meta, "kind", meta_path)
+    kind = meta_value(meta, "kind", meta_path)
     if kind != model.kind:
         raise FormatError(f"{meta_path}: kind {kind!r} does not match radius {topo.radius}")
     return model

@@ -23,13 +23,21 @@ from .errors import (
     OutOfBounds,
     PatchTooLarge,
 )
-from .matrixio import format_float, meta_positive_float, read_array, read_meta, write_meta
+from .matrixio import format_float, meta_value, read_array, read_meta, write_meta
 
 LUMINANCE_WEIGHTS = (0.299, 0.587, 0.114)
 DEFAULT_FRAME_RATE = 24.0
 FRAME_NAME_FORMAT = "frame_{:06d}.pgm"
 SEQUENCE_META_NAME = "sequence.meta"
 CROP_BLOCK_PIXELS = 1 << 14    # pixels of random crops gathered and centred at once
+
+
+def check_frame_rate(rate) -> float:
+    """`rate` as a float, if it is finite and > 0."""
+    rate = float(rate)
+    if not (np.isfinite(rate) and rate > 0):
+        raise DataError(f"frame_rate must be finite and > 0, got {rate}")
+    return rate
 
 
 @dataclass
@@ -91,21 +99,23 @@ class FrameSequence:
                 raise DimensionMismatch(
                     f"frame {i} is {frame.width}x{frame.height}, expected {w}x{h}"
                 )
-        if not (np.isfinite(self.frame_rate) and self.frame_rate > 0):
-            raise DataError(f"frame_rate must be finite and > 0, got {self.frame_rate}")
+        self.frame_rate = check_frame_rate(self.frame_rate)
 
     def __len__(self) -> int:
         return len(self.frames)
 
 
 def normalize_image(img: GrayImage) -> GrayImage:
-    """Shift and scale to zero mean and unit (population) variance."""
+    """Shift and scale to zero mean and unit (population) variance.
+
+    An image is constant when its pixels are all equal, which is tested
+    exactly: the mean of equal pixels need not equal them, and so their
+    rounded variance need not be 0.
+    """
     values = img.values
-    mean = values.mean()
-    var = values.var()
-    if var == 0.0:
+    if values.min() == values.max():
         raise ConstantImage("image has zero pixel variance")
-    return GrayImage((values - mean) / np.sqrt(var))
+    return GrayImage((values - values.mean()) / np.sqrt(values.var()))
 
 
 def _crop_patches(img: GrayImage, side: int, out: np.ndarray, seed: int) -> None:
@@ -176,7 +186,7 @@ def extract_fixed_patches(seq: FrameSequence, origin, patch_side: int) -> PatchS
         )
     if row < 0 or col < 0 or row + patch_side > frame.height or col + patch_side > frame.width:
         raise OutOfBounds(
-            f"patch at origin ({row}, {col}) with side {patch_side} leaves the "
+            f"patch at left {col}, top {row} with side {patch_side} leaves the "
             f"{frame.width}x{frame.height} frame"
         )
     out = np.empty((len(seq), patch_side * patch_side))
@@ -220,7 +230,8 @@ def crop_image(img: GrayImage, top: int, left: int, height: int, width: int) -> 
         raise DataError("crop height and width must be >= 1")
     if top < 0 or left < 0 or top + height > img.height or left + width > img.width:
         raise OutOfBounds(
-            f"crop ({top},{left},{height},{width}) leaves the {img.width}x{img.height} image"
+            f"crop {width}x{height} at left {left}, top {top} leaves the "
+            f"{img.width}x{img.height} image"
         )
     return GrayImage(img.values[top:top + height, left:left + width].copy())
 
@@ -352,7 +363,7 @@ def load_sequence(directory) -> FrameSequence:
     if os.path.exists(meta_path):
         meta = read_meta(meta_path)
         if "frame_rate" in meta:
-            frame_rate = meta_positive_float(meta, "frame_rate", meta_path)
+            frame_rate = meta_value(meta, "frame_rate", meta_path, check_frame_rate)
     return FrameSequence(frames, frame_rate)
 
 

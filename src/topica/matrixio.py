@@ -24,7 +24,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 
 MAGIC = b"TICM"
 VERSION = 1
@@ -116,48 +116,17 @@ def read_meta(path) -> dict:
     return entries
 
 
-def _meta_value(meta: dict, key: str, path, parse):
+def meta_value(meta: dict, key: str, path, parse=str):
+    """Required entry `key` of a header read by `read_meta` from `path`,
+    passed through `parse`; a missing key, or a value that `parse` refuses
+    with a ValueError or a DataError, is a FormatError naming `path`, `key`
+    and the value."""
     if key not in meta:
         raise FormatError(f"{path}: missing key {key!r}")
     try:
         return parse(meta[key])
-    except ValueError:
+    except (ValueError, DataError):
         raise FormatError(f"{path}: bad value for {key!r}: {meta[key]!r}") from None
-
-
-def meta_str(meta: dict, key: str, path) -> str:
-    """Required string entry of a header read by ``read_meta`` from ``path``."""
-    return _meta_value(meta, key, path, str)
-
-
-def meta_int(meta: dict, key: str, path) -> int:
-    """Required integer entry; FormatError names ``path`` and ``key``."""
-    return _meta_value(meta, key, path, int)
-
-
-def meta_float(meta: dict, key: str, path) -> float:
-    """Required float entry; FormatError names ``path`` and ``key``."""
-    return _meta_value(meta, key, path, float)
-
-
-def meta_positive_float(meta: dict, key: str, path) -> float:
-    """Required float entry that is finite and > 0, such as a frame rate."""
-    value = meta_float(meta, key, path)
-    if not (np.isfinite(value) and value > 0):
-        raise FormatError(f"{path}: {key} must be finite and > 0, got {value}")
-    return value
-
-
-def meta_ints(meta: dict, key: str, path) -> np.ndarray:
-    """Required comma-separated integer list, as an index array."""
-    return _meta_value(meta, key, path,
-                       lambda raw: np.array([int(v) for v in raw.split(",")], dtype=np.intp))
-
-
-def meta_floats(meta: dict, key: str, path) -> np.ndarray:
-    """Required comma-separated float list, as a float64 array."""
-    return _meta_value(meta, key, path,
-                       lambda raw: np.array([float(v) for v in raw.split(",")]))
 
 
 def content_hash(*parts) -> str:

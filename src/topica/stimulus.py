@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadSpec, IndexOutOfRange
 from .estimation import BasisModel
-from .images import DEFAULT_FRAME_RATE, FrameSequence, GrayImage, normalize_image
+from .images import FrameSequence, GrayImage, normalize_image
 
 
 @dataclass
@@ -57,7 +57,7 @@ def generate_moving_bar(spec: BarStimulusSpec) -> FrameSequence:
         if spec.orientation == "vertical":
             values = values.T.copy()
         frames.append(GrayImage(values))
-    return FrameSequence(frames=frames, frame_rate=DEFAULT_FRAME_RATE)
+    return FrameSequence(frames)
 
 
 def generate_single_basis_probe(model: BasisModel, unit: int) -> GrayImage:
@@ -150,7 +150,7 @@ def generate_panning_sequence(scene: GrayImage, window: int, n_frames: int,
         frames.append(normalize_image(GrayImage(_subpixel_crop(scene.values, y, x, window))))
         x, dx = _reflect(x, dx, span_x)
         y, dy = _reflect(y, dy, span_y)
-    return FrameSequence(frames=frames, frame_rate=DEFAULT_FRAME_RATE)
+    return FrameSequence(frames)
 
 
 def _reflect(pos: float, step: float, span: float) -> tuple:

@@ -23,8 +23,7 @@ from .images import PatchSet
 from .matrixio import (
     content_hash,
     format_float,
-    meta_floats,
-    meta_int,
+    meta_value,
     read_matrix,
     read_meta,
     write_matrix,
@@ -206,9 +205,10 @@ def load_whitening(directory) -> WhiteningModel:
     meta = read_meta(meta_path)
     transform = read_matrix(os.path.join(directory, TRANSFORM_FILE))
     inverse = read_matrix(os.path.join(directory, INVERSE_FILE))
-    k = meta_int(meta, "k", meta_path)
-    n_pixels = meta_int(meta, "n_pixels", meta_path)
-    eigenvalues = meta_floats(meta, "eigenvalues", meta_path)
+    k = meta_value(meta, "k", meta_path, int)
+    n_pixels = meta_value(meta, "n_pixels", meta_path, int)
+    eigenvalues = meta_value(meta, "eigenvalues", meta_path,
+                             lambda raw: np.array([float(v) for v in raw.split(",")]))
     if transform.shape != (k, n_pixels) or inverse.shape != (n_pixels, k):
         raise FormatError(f"{directory}: matrix shapes disagree with header")
     if eigenvalues.shape != (k,):

@@ -36,9 +36,15 @@ def reference_lag_corr(series, lag):
     return np.corrcoef(a, b)[0, 1]
 
 
+def is_constant(series):
+    return series.min() == series.max()
+
+
 def pearson_one_pair(a, b):
     """Pearson r of two 1-D series, one pair at a time: the loop form that
     the analyses' matrix form must reproduce bit for bit."""
+    if is_constant(a) or is_constant(b):
+        return np.nan
     a = a - a.mean()
     b = b - b.mean()
     denom = np.sqrt((a * a).sum() * (b * b).sum())
@@ -86,6 +92,25 @@ class TestAutocorrelation:
         with pytest.warns(UserWarning), pytest.raises(DegenerateSeries):
             autocorrelation(make_trace(np.ones((30, 2))), 3)
 
+    @pytest.mark.parametrize("use_energy", [False, True], ids=["activations", "energies"])
+    def test_inexact_constant_is_constant(self, rng, use_energy):
+        # The mean of 30 frames of 0.1 is not 0.1, so their rounded spread is not 0.
+        activations = np.full((30, 3), 0.1)
+        with pytest.warns(UserWarning, match="excluding 3 "), pytest.raises(DegenerateSeries):
+            autocorrelation(make_trace(activations), 3, use_energy=use_energy)
+        activations[:, 0] = rng.standard_normal(30)
+        with pytest.warns(UserWarning, match="excluding 2 "):
+            report = autocorrelation(make_trace(activations), 3, use_energy=use_energy)
+        assert report.n_excluded == 2
+        assert np.isnan(report.per_unit[1:]).all()
+        assert report.mean_autocorr.tobytes() == report.per_unit[0].tobytes()
+
+    def test_underflowing_spread_gives_nan(self, rng):
+        # The product of two sums of squares near 1e-200 underflows to 0.
+        report = autocorrelation(make_trace(1e-100 * rng.standard_normal((30, 2))), 3)
+        assert report.n_excluded == 0
+        assert np.isnan(report.per_unit[:, 1:]).all()
+
     def test_lag_bounds(self, rng):
         trace = make_trace(rng.standard_normal((10, 2)))
         with pytest.raises(ConfigError):
@@ -129,6 +154,20 @@ class TestAdjacency:
             expected = np.corrcoef(trace.energies[:, i], trace.energies[:, j])[0, 1]
             npt.assert_allclose(r, expected, atol=1e-12)
         npt.assert_allclose(report.mean_r, np.nanmean(report.pair_correlations), atol=1e-12)
+
+    def test_no_pair_of_varying_series_rejected(self, rng):
+        # The mean of 30 frames of 0.1 is not 0.1, so their rounded spread is not 0.
+        topo = build_topography(4, 3, 1)
+        activations = np.full((30, 12), 0.1)
+        with pytest.raises(DegenerateSeries):
+            adjacent_correlation(make_trace(activations), topo)
+        activations[:, 0] = rng.standard_normal(30)    # unit 0's neighbors are all constant
+        with pytest.raises(DegenerateSeries):
+            adjacent_correlation(make_trace(activations), topo)
+        activations[:, 1] = rng.standard_normal(30)
+        report = adjacent_correlation(make_trace(activations), topo)
+        assert np.isfinite(report.pair_correlations).sum() == 1
+        assert np.isfinite(report.mean_r)
 
     def test_unit_count_checked(self, rng):
         topo = build_topography(4, 4, 1)
@@ -402,7 +441,9 @@ class TestMatrixFormMatchesLoops:
     @staticmethod
     def loop_autocorr(values, max_lag):
         out = np.full((values.shape[1], max_lag + 1), np.nan)
-        for i in np.flatnonzero(values.std(axis=0) > 0.0):
+        for i in range(values.shape[1]):
+            if is_constant(values[:, i]):
+                continue
             out[i, 0] = 1.0
             for lag in range(1, max_lag + 1):
                 out[i, lag] = pearson_one_pair(values[:-lag, i], values[lag:, i])

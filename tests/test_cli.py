@@ -262,6 +262,24 @@ class TestTrainCommand:
             "", f"topica: error: {conf}:2: key 'seed' repeats line 1\n")
         assert not out.exists()
 
+    def test_constant_image_is_named(self, tmp_path, image_dir, capsys):
+        # In name order, leaves_22a.pgm comes third, after leaves_21 and leaves_22.
+        images = tmp_path / "images"
+        shutil.copytree(image_dir, images)
+        write_image(images / "leaves_22a.pgm", GrayImage(np.full((96, 96), 0.5)), 0.0, 1.0)
+        assert main(["train", "--images", str(images), "--out", str(tmp_path / "m")]
+                    + TRAIN_FLAGS) == 2
+        assert capsys.readouterr() == ("", "topica: error: image 2: image has zero pixel "
+                                           "variance\n")
+        assert os.listdir(tmp_path) == ["images"]
+
+    def test_crop_leaving_an_image_is_named(self, tmp_path, image_dir, capsys):
+        assert main(["train", "--images", str(image_dir), "--out", str(tmp_path / "m"),
+                     "--crop", "0,0,100,8"] + TRAIN_FLAGS) == 2
+        assert capsys.readouterr() == ("", "topica: error: image 0: crop 100x8 at left 0, "
+                                           "top 0 leaves the 96x96 image\n")
+        assert os.listdir(tmp_path) == []
+
     def test_empty_image_dir_is_data_error(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -354,7 +372,9 @@ class TestMalformedModelMeta:
         ("whitening.meta", "k", "four"),
         ("whitening.meta", "k", None),
         ("whitening.meta", "eigenvalues", "1,x"),
+        ("whitening.meta", "eigenvalues", ""),
         ("basis.meta", "map_width", "four"),
+        ("basis.meta", "permutation", "1,,2"),
         ("basis.meta", "seed", None),
     ])
     def test_activate_exits_2(self, tmp_path, model_dir, meta_file, key, value):
@@ -621,6 +641,28 @@ class TestActivateCommand:
         assert main(["activate", "--model", str(model_dir), "--frames", str(frames_dir),
                      "--origin", "90,0", "--out", str(out)]) == 2
 
+    def test_errors_echo_left_and_top(self, tmp_path, model_dir, frames_dir, capsys):
+        # --origin and --crop are given as left,top; the 32x32 frames are 32 wide.
+        argv = ["activate", "--model", str(model_dir), "--frames", str(frames_dir),
+                "--out", str(tmp_path / "t")]
+        assert main(argv + ["--origin", "30,2"]) == 2
+        assert capsys.readouterr() == ("", "topica: error: patch at left 30, top 2 with side 5 "
+                                           "leaves the 32x32 frame\n")
+        assert main(argv + ["--crop", "0,0,40,8"]) == 2
+        assert capsys.readouterr() == ("", "topica: error: frame 0: crop 40x8 at left 0, top 0 "
+                                           "leaves the 32x32 image\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_constant_frame_is_named(self, tmp_path, model_dir, frames_dir, capsys):
+        frames = tmp_path / "frames"
+        shutil.copytree(frames_dir, frames)
+        write_image(frames / "frame_000004.pgm", GrayImage(np.full((32, 32), 0.5)), 0.0, 1.0)
+        assert main(["activate", "--model", str(model_dir), "--frames", str(frames),
+                     "--out", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr() == ("", "topica: error: frame 4: image has zero pixel "
+                                           "variance\n")
+        assert os.listdir(tmp_path) == ["frames"]
+
     def test_empty_frames_dir_no_partial_output(self, tmp_path, model_dir):
         empty = tmp_path / "frames"
         empty.mkdir()
@@ -651,10 +693,11 @@ class TestActivateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("rate", ["-5", "0", "nan", "inf", "fast"])
-    def test_bad_frame_rate_exits_1_without_output(self, tmp_path, model_dir, rate):
+    def test_bad_frame_rate_exits_1_without_output(self, tmp_path, model_dir, capsys, rate):
         out = tmp_path / "t"
         assert main(["activate", "--model", str(model_dir), "--bar", "horizontal",
                      "--frame-rate", rate, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("topica: error: argument --frame-rate: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf"])
@@ -852,6 +895,28 @@ class TestAnalyzeCommand:
         assert proc.returncode == 0
         assert proc.stderr == ("topica: warning: excluding 1 constant unit series "
                                "from autocorrelation\n")
+
+    @pytest.mark.parametrize("mode", ["autocorr", "adjacency"])
+    def test_static_movie_exits_2(self, tmp_path, model_dir, frames_dir, capsys, mode):
+        # Thirty copies of one frame: every unit's series is constant, at values
+        # whose mean over the frames need not be exact.
+        frames = tmp_path / "frames"
+        topica.save_sequence(FrameSequence([topica.load_sequence(frames_dir).frames[0]] * 30),
+                             frames)
+        trace = tmp_path / "trace"
+        assert main(["activate", "--model", str(model_dir), "--frames", str(frames),
+                     "--out", str(trace)]) == 0
+        capsys.readouterr()
+        flags = [] if mode == "autocorr" else ["--model", str(model_dir)]
+        assert main(["analyze", "--trace", str(trace), "--mode", mode, "--out",
+                     str(tmp_path / "a")] + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == {
+            "autocorr": "topica: error: every unit series is constant",
+            "adjacency": "topica: error: no adjacent pair of units has two varying energy series",
+        }[mode]
+        assert sorted(os.listdir(tmp_path)) == ["frames", "trace"]
 
     def test_constant_unit_is_counted_in_the_summary(self, tmp_path, trace_dir, capsys):
         trace = tmp_path / "trace"

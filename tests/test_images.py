@@ -66,6 +66,14 @@ class TestNormalize:
         with pytest.raises(ConstantImage):
             normalize_image(GrayImage(np.full((3, 3), 0.7)))
 
+    @pytest.mark.parametrize("value, shape", [(0.1, (32, 32)), (1 / 3, (32, 32)),
+                                              (128 / 255, (7, 5))],
+                             ids=["0.1", "1/3", "128/255"])
+    def test_inexact_constant_image_rejected(self, value, shape):
+        # The mean of these pixels is not their value, so their rounded variance is not 0.
+        with pytest.raises(ConstantImage):
+            normalize_image(GrayImage(np.full(shape, value)))
+
     def test_known_values(self):
         img = normalize_image(GrayImage(np.array([[0.0, 2.0]])))
         npt.assert_allclose(img.values, [[-1.0, 1.0]])

@@ -8,6 +8,11 @@ changes no file outside --out, and a command that fails changes nothing
 at all: every path in the working directory keeps its bytes, and no path
 is added or removed.
 
+`test_every_failed_file_system_call` fails the n-th file-system call of
+a command, for every n, with ENOSPC: the command either exits 2 and
+changes nothing, or, when the call was in the cleanup after the commit,
+exits 0 with its output in place and one warning.
+
 Every example runs in a fresh working directory holding a copy of the
 artifacts under `in/`. Path values are relative names or known paths, so
 no command writes outside that directory. Integer values stay within
@@ -16,7 +21,10 @@ The 8x8 images are too small for the default 9x9 patches, so a `train`
 that falls back to the defaults fails fast instead of training at full size.
 """
 
+import builtins
+import errno
 import hashlib
+import itertools
 import os
 import re
 import shutil
@@ -302,3 +310,160 @@ def test_main_returns_an_exit_code_on_bad_values(artifacts, data):
     assert code in (0, 1, 2, 3)
     assert not left
     check_unchanged(before, after, argv, code)
+
+
+# Command lines of the file-system fault harness, run in a working directory
+# holding `old` (a directory) and `old.pgm` (a file): each command into --out
+# beneath two missing directories, and over an existing --out.
+FAULT_COMMANDS = {
+    "train": ["train", "--images", f"{INPUT}/images", "--config", f"{INPUT}/run.conf"],
+    "activate": ["activate", "--model", f"{INPUT}/model", "--frames", f"{INPUT}/frames"],
+    "analyze": ["analyze", "--mode", "adjacency", "--trace", f"{INPUT}/trace",
+                "--model", f"{INPUT}/model", "--permutations", "20"],
+    "render": ["render", "--model", f"{INPUT}/model"],
+}
+
+
+class FailNthCall:
+    """Count the file-system calls that can fail, and fail the `n`-th with
+    ENOSPC; every other call goes through.
+
+    The calls: os.mkdir, os.makedirs, os.replace, os.rename, os.rmdir,
+    os.unlink, os.remove, `open` for writing, and `write` or `writelines`
+    on a file so opened. A call that cannot fail with ENOSPC at that point
+    is not counted: `mkdir` of a path that exists, which fails with EEXIST
+    (and which `makedirs(exist_ok=True)` swallows by design), and
+    `makedirs(exist_ok=True)` of a directory that exists.
+    """
+
+    def __init__(self, n: int):
+        self.n, self.calls, self.failed = n, 0, None
+
+    def point(self, name, *args):
+        self.calls += 1
+        if self.calls == self.n:
+            self.failed = name
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), *args[:1])
+
+    def install(self, monkeypatch):
+        real = {name: getattr(os, name) for name in
+                ("mkdir", "makedirs", "replace", "rename", "rmdir", "unlink", "remove")}
+        real_open = builtins.open
+
+        def counted(name):
+            def call(*args, **kwargs):
+                self.point(name, *args)
+                return real[name](*args, **kwargs)
+            return call
+
+        def mkdir(path, *args, **kwargs):
+            if not os.path.lexists(path):
+                self.point("mkdir", path)
+            return real["mkdir"](path, *args, **kwargs)
+
+        def makedirs(path, mode=0o777, exist_ok=False):
+            if not (exist_ok and os.path.isdir(path)):
+                self.point("makedirs", path)
+            return real["makedirs"](path, mode, exist_ok)
+
+        def open_(file, mode="r", *args, **kwargs):
+            if not any(c in mode for c in "wax+"):
+                return real_open(file, mode, *args, **kwargs)
+            self.point("open", file)
+            return _FailingWrites(real_open(file, mode, *args, **kwargs), self)
+
+        for name in ("replace", "rename", "rmdir", "unlink", "remove"):
+            monkeypatch.setattr(os, name, counted(name))
+        monkeypatch.setattr(os, "mkdir", mkdir)
+        monkeypatch.setattr(os, "makedirs", makedirs)
+        monkeypatch.setattr(builtins, "open", open_)
+
+
+class _FailingWrites:
+    """A file whose `write` and `writelines` are counted by `faults`."""
+
+    def __init__(self, file, faults: FailNthCall):
+        self._file, self._faults = file, faults
+
+    def write(self, data):
+        self._faults.point("write")
+        return self._file.write(data)
+
+    def writelines(self, lines):
+        self._faults.point("write")
+        return self._file.writelines(lines)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+
+    def __getattr__(self, name):
+        return getattr(self._file, name)
+
+
+def _fault_run(artifacts, monkeypatch, capsys, argv, faults):
+    """Run `main(argv)` in a fresh working directory, with `faults`
+    installed unless it is None, and return (exit code, stdout, stderr,
+    snapshot before, snapshot after); the directory is removed after."""
+    work = artifacts / "work" / "run"
+    shutil.copytree(artifacts / INPUT, work / INPUT)
+    (work / "old" / "sub").mkdir(parents=True)
+    (work / "old" / "sub" / "kept").write_bytes(b"kept")
+    (work / "old.pgm").write_bytes(b"kept")
+    before = snapshot(work)
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with monkeypatch.context() as patch:
+            if faults is not None:
+                faults.install(patch)
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    out, err = capsys.readouterr()
+    for left in re.findall(r"^topica: warning: left (.+?) behind: ", err, flags=re.M):
+        shutil.rmtree(left)
+    after = snapshot(work)
+    shutil.rmtree(work)
+    return code, out, err, before, after
+
+
+@pytest.mark.parametrize("into", ["missing-parent", "existing-out"])
+@pytest.mark.parametrize("command", sorted(FAULT_COMMANDS))
+def test_every_failed_file_system_call(artifacts, monkeypatch, capsys, command, into):
+    # Fail the n-th call for n = 1, 2, ... until a run makes fewer than n
+    # (SQLite's I/O-error testing). A failure before the output is committed
+    # exits 2 with one error line and changes no path. One in the cleanup
+    # after the commit exits 0, prints the report and one warning naming the
+    # `.topica-*` left behind, and the new output is in place.
+    if into == "missing-parent":
+        target = os.path.join("a", "b", "m.pgm" if command == "render" else "out")
+    else:
+        target = "old.pgm" if command == "render" else "old"
+    argv = FAULT_COMMANDS[command] + ["--out", target]
+    code, report, err, _, clean = _fault_run(artifacts, monkeypatch, capsys, argv, None)
+    assert (code, err) == (0, "")
+    outcomes = set()
+    for n in itertools.count(1):
+        faults = FailNthCall(n)
+        code, out, err, before, after = _fault_run(artifacts, monkeypatch, capsys, argv, faults)
+        if faults.failed is None:    # n is past the last call
+            assert (code, out, err, after) == (0, report, "", clean)
+            break
+        point = f"call {n} ({faults.failed})"
+        if code == 2:
+            assert out == "", point
+            assert err.startswith(f"topica: error: [Errno {errno.ENOSPC}] "), point
+            assert err.count("\n") == 1, point
+            assert after == before, point
+        else:
+            assert faults.failed in ("rmdir", "unlink"), point
+            assert code == 0, point
+            assert out == report, point
+            assert re.fullmatch(rf"topica: warning: left \S*/\.topica-[0-9a-f]{{16}} behind: "
+                                rf"\[Errno {errno.ENOSPC}\] [^\n]*\n", err), point
+            assert after == clean, point
+        outcomes.add(code)
+    assert outcomes == {0, 2}

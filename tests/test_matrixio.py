@@ -9,15 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from topica.errors import FormatError
+from topica.errors import DataError, FormatError
 from topica.matrixio import (
     content_hash,
     format_float,
-    meta_float,
-    meta_floats,
-    meta_int,
-    meta_ints,
-    meta_str,
+    meta_value,
     read_matrix,
     read_meta,
     write_matrix,
@@ -133,27 +129,27 @@ def test_meta_rejects_non_ascii(tmp_path):
 
 def test_typed_meta_accessors(tmp_path):
     path = tmp_path / "x.meta"
-    meta = {"kind": "TICA", "k": "64", "eps": "0.25", "perm": "2,0,1", "ev": "1.5,0.5"}
-    assert meta_str(meta, "kind", path) == "TICA"
-    assert meta_int(meta, "k", path) == 64
-    assert meta_float(meta, "eps", path) == 0.25
-    npt.assert_array_equal(meta_ints(meta, "perm", path), [2, 0, 1])
-    npt.assert_array_equal(meta_floats(meta, "ev", path), [1.5, 0.5])
+    meta = {"kind": "TICA", "k": "64", "eps": "0.25"}
+    assert meta_value(meta, "kind", path) == "TICA"
+    assert meta_value(meta, "k", path, int) == 64
+    assert meta_value(meta, "eps", path, float) == 0.25
 
 
-@pytest.mark.parametrize("accessor, raw", [
-    (meta_int, "four"), (meta_int, "1.5"), (meta_float, "x"),
-    (meta_ints, "1,,2"), (meta_floats, "1,x"), (meta_floats, ""),
-])
-def test_typed_meta_accessor_rejects_bad_value(tmp_path, accessor, raw):
+def _refuse(raw):
+    raise DataError(f"refused {raw}")
+
+
+@pytest.mark.parametrize("parse, raw", [(int, "four"), (int, "1.5"), (float, "x"),
+                                        (_refuse, "1")])
+def test_typed_meta_accessor_rejects_bad_value(tmp_path, parse, raw):
     path = tmp_path / "x.meta"
-    with pytest.raises(FormatError, match=r"x\.meta: bad value for 'v'"):
-        accessor({"v": raw}, "v", path)
+    with pytest.raises(FormatError, match=rf"x\.meta: bad value for 'v': '{raw}'$"):
+        meta_value({"v": raw}, "v", path, parse)
 
 
 def test_typed_meta_accessor_rejects_missing_key(tmp_path):
     with pytest.raises(FormatError, match=r"x\.meta: missing key 'v'"):
-        meta_str({}, "v", tmp_path / "x.meta")
+        meta_value({}, "v", tmp_path / "x.meta")
 
 
 @settings(deadline=None, max_examples=100)
