@@ -87,7 +87,7 @@ def _frame_rate(text: str) -> float:
     """argparse type of --frame-rate: `images.check_frame_rate`'s rule."""
     try:
         return images.check_frame_rate(text)
-    except (ValueError, DataError) as exc:
+    except DataError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -200,11 +200,6 @@ def cmd_train(args, out) -> str:
             f"stopped by {model_b.stop_reason}\n")
 
 
-def _centered_origin(seq: images.FrameSequence, patch_side: int) -> tuple:
-    frame = seq.frames[0]
-    return (frame.height - patch_side) // 2, (frame.width - patch_side) // 2
-
-
 def _prepare_frames(frames, noun, crop=None, resize_width=None) -> list:
     """Each image of the list `frames` cropped to `crop` (a `parse_crop`
     tuple), resized to `resize_width`, then normalized; None skips a step.
@@ -214,8 +209,7 @@ def _prepare_frames(frames, noun, crop=None, resize_width=None) -> list:
     for i, frame in enumerate(frames):
         try:
             if crop is not None:
-                left, top, width, height = crop
-                frame = images.crop_image(frame, top, left, height, width)
+                frame = images.crop_image(frame, *crop)
             if resize_width is not None:
                 frame = images.resize_to_width(frame, resize_width)
             frames[i] = images.normalize_image(frame)
@@ -252,15 +246,9 @@ def render_reconstructions(model: estimation.BasisModel, trace: act.ActivationTr
 def cmd_activate(args, out) -> str:
     model = estimation.load_basis(args.model)
     model_w = whit.load_whitening(args.model)
-    origin = (0, 0)
     if args.frames is not None:
         seq = images.load_sequence(args.frames)
         _prepare_frames(seq.frames, "frame", args.crop, args.resize_width)
-        if args.origin is not None:
-            left, top = args.origin
-            origin = (top, left)
-        else:
-            origin = _centered_origin(seq, model.patch_side)
     elif args.bar is not None:
         spec = stimulus.BarStimulusSpec(
             patch_side=model.patch_side, thickness=args.bar_thickness,
@@ -268,6 +256,10 @@ def cmd_activate(args, out) -> str:
         seq = stimulus.generate_moving_bar(spec)
     else:
         seq = images.FrameSequence([stimulus.generate_single_basis_probe(model, args.probe)])
+    origin = args.origin
+    if origin is None:    # the frame's centre; (0, 0) for a bar or probe, one patch wide
+        frame = seq.frames[0]
+        origin = (frame.width - model.patch_side) // 2, (frame.height - model.patch_side) // 2
     patches = images.extract_fixed_patches(seq, origin, model.patch_side)
     frame_rate = args.frame_rate if args.frame_rate is not None else seq.frame_rate
     del seq    # the patches hold all that is used of the frames

@@ -33,10 +33,13 @@ CROP_BLOCK_PIXELS = 1 << 14    # pixels of random crops gathered and centred at 
 
 
 def check_frame_rate(rate) -> float:
-    """`rate` as a float, if it is finite and > 0."""
-    rate = float(rate)
-    if not (np.isfinite(rate) and rate > 0):
-        raise DataError(f"frame_rate must be finite and > 0, got {rate}")
+    """`rate` as a float, if it is a number, finite and > 0; otherwise a DataError."""
+    try:
+        rate = float(rate)
+    except ValueError:
+        pass    # `rate` stays the text, which the message quotes
+    if not (isinstance(rate, float) and np.isfinite(rate) and rate > 0):
+        raise DataError(f"frame_rate must be finite and > 0, got {rate!r}")
     return rate
 
 
@@ -177,21 +180,21 @@ def extract_patches_from_images(images, patch_side: int, count: int, seed: int) 
 
 
 def extract_fixed_patches(seq: FrameSequence, origin, patch_side: int) -> PatchSet:
-    """Crop the same patch location out of every frame, one row per frame."""
-    row, col = origin
+    """One row per frame: the patch whose top-left corner is `origin` = (left, top)."""
+    left, top = origin
     frame = seq.frames[0]
     if patch_side > min(frame.width, frame.height):
         raise PatchTooLarge(
             f"patch_side {patch_side} exceeds frame size {frame.width}x{frame.height}"
         )
-    if row < 0 or col < 0 or row + patch_side > frame.height or col + patch_side > frame.width:
+    if left < 0 or top < 0 or left + patch_side > frame.width or top + patch_side > frame.height:
         raise OutOfBounds(
-            f"patch at left {col}, top {row} with side {patch_side} leaves the "
+            f"patch at left {left}, top {top} with side {patch_side} leaves the "
             f"{frame.width}x{frame.height} frame"
         )
     out = np.empty((len(seq), patch_side * patch_side))
     for t, fr in enumerate(seq.frames):
-        out[t] = fr.values[row:row + patch_side, col:col + patch_side].reshape(-1)
+        out[t] = fr.values[top:top + patch_side, left:left + patch_side].reshape(-1)
     out -= out.mean(axis=1, keepdims=True)
     return PatchSet(out, patch_side)
 
@@ -225,10 +228,10 @@ def resize_to_width(img: GrayImage, target_width: int) -> GrayImage:
     return GrayImage(out)
 
 
-def crop_image(img: GrayImage, top: int, left: int, height: int, width: int) -> GrayImage:
-    if height < 1 or width < 1:
+def crop_image(img: GrayImage, left: int, top: int, width: int, height: int) -> GrayImage:
+    if width < 1 or height < 1:
         raise DataError("crop height and width must be >= 1")
-    if top < 0 or left < 0 or top + height > img.height or left + width > img.width:
+    if left < 0 or top < 0 or left + width > img.width or top + height > img.height:
         raise OutOfBounds(
             f"crop {width}x{height} at left {left}, top {top} leaves the "
             f"{img.width}x{img.height} image"

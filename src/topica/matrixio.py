@@ -42,6 +42,7 @@ def write_matrix(path, values: np.ndarray) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
+    """The matrix in `path`; a NaN or an infinity, which topica never writes, is a FormatError."""
     with open(path, "rb") as f:
         header = f.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -51,7 +52,10 @@ def read_matrix(path) -> np.ndarray:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        return read_array(f, (rows, cols), "<f8", path).astype(np.float64, copy=False)
+        values = read_array(f, (rows, cols), "<f8", path).astype(np.float64, copy=False)
+    if not np.isfinite(values).all():
+        raise FormatError(f"{path}: holds a non-finite value")
+    return values
 
 
 def read_array(f, shape, dtype, path) -> np.ndarray:
@@ -120,13 +124,14 @@ def meta_value(meta: dict, key: str, path, parse=str):
     """Required entry `key` of a header read by `read_meta` from `path`,
     passed through `parse`; a missing key, or a value that `parse` refuses
     with a ValueError or a DataError, is a FormatError naming `path`, `key`
-    and the value."""
+    and the value, then, in parentheses, a DataError's rule (not Python's text)."""
     if key not in meta:
         raise FormatError(f"{path}: missing key {key!r}")
     try:
         return parse(meta[key])
-    except (ValueError, DataError):
-        raise FormatError(f"{path}: bad value for {key!r}: {meta[key]!r}") from None
+    except (ValueError, DataError) as exc:
+        reason = f" ({exc})" if isinstance(exc, DataError) else ""
+        raise FormatError(f"{path}: bad value for {key!r}: {meta[key]!r}{reason}") from None
 
 
 def content_hash(*parts) -> str:

@@ -108,10 +108,10 @@ def generate_dead_leaves(width: int, height: int, n_disks: int, seed: int,
     return GrayImage(canvas)
 
 
-def _subpixel_crop(values: np.ndarray, row: float, col: float, window: int) -> np.ndarray:
-    """Window crop at a fractional origin, bilinearly interpolated."""
-    top, left = int(np.floor(row)), int(np.floor(col))
-    frac_y, frac_x = row - top, col - left
+def _subpixel_crop(values: np.ndarray, x: float, y: float, window: int) -> np.ndarray:
+    """Window crop at the fractional top-left corner (x, y), bilinearly interpolated."""
+    left, top = int(np.floor(x)), int(np.floor(y))
+    frac_x, frac_y = x - left, y - top
     block = values[top:top + window + (frac_y > 0), left:left + window + (frac_x > 0)]
     if frac_x > 0:
         block = (1 - frac_x) * block[:, :-1] + frac_x * block[:, 1:]
@@ -147,7 +147,7 @@ def generate_panning_sequence(scene: GrayImage, window: int, n_frames: int,
     dy = speed * np.sin(angle)
     frames = []
     for _ in range(n_frames):
-        frames.append(normalize_image(GrayImage(_subpixel_crop(scene.values, y, x, window))))
+        frames.append(normalize_image(GrayImage(_subpixel_crop(scene.values, x, y, window))))
         x, dx = _reflect(x, dx, span_x)
         y, dy = _reflect(y, dy, span_y)
     return FrameSequence(frames)

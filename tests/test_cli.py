@@ -678,9 +678,9 @@ class TestActivateCommand:
                      "--crop", "2,3,24,20", "--resize-width", "12", "--origin", "1,2",
                      "--out", str(out)]) == 0
         seq = topica.load_sequence(frames_dir)
-        frames = [topica.normalize_image(resize_to_width(crop_image(frame, 3, 2, 20, 24), 12))
+        frames = [topica.normalize_image(resize_to_width(crop_image(frame, 2, 3, 24, 20), 12))
                   for frame in seq.frames]
-        patches = extract_fixed_patches(FrameSequence(frames, seq.frame_rate), (2, 1), 5)
+        patches = extract_fixed_patches(FrameSequence(frames, seq.frame_rate), (1, 2), 5)
         expected = topica.compute_activation(topica.load_basis(model_dir),
                                              topica.load_whitening(model_dir), patches,
                                              seq.frame_rate)
@@ -699,6 +699,24 @@ class TestActivateCommand:
                      "--frame-rate", rate, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("topica: error: argument --frame-rate: ")
         assert not out.exists()
+
+    def test_non_numeric_frame_rate_names_the_rule(self, tmp_path, model_dir, capsys):
+        assert main(["activate", "--model", str(model_dir), "--bar", "horizontal",
+                     "--frame-rate", "abc", "--out", str(tmp_path / "t")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "topica: error: argument --frame-rate: frame_rate must be finite and > 0, "
+            "got 'abc'\n")
+
+    def test_sequence_frame_rate_message_names_the_rule(self, tmp_path, model_dir, frames_dir,
+                                                        capsys):
+        frames = tmp_path / "frames"
+        shutil.copytree(frames_dir, frames)
+        _edit_meta(frames / "sequence.meta", "frame_rate", "0")
+        assert main(["activate", "--model", str(model_dir), "--frames", str(frames),
+                     "--out", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr() == (
+            "", f"topica: error: {frames}/sequence.meta: bad value for 'frame_rate': '0' "
+                f"(frame_rate must be finite and > 0, got 0.0)\n")
 
     @pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf"])
     def test_bad_sequence_frame_rate_exits_2(self, tmp_path, model_dir, frames_dir, rate):
@@ -1244,6 +1262,21 @@ class TestTraceChecks:
         assert capsys.readouterr().err.startswith("topica: error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["autocorr", "adjacency", "locality"])
+    def test_non_finite_trace_exits_2(self, tmp_path, trace_dir, model_dir, capsys, mode):
+        trace = tmp_path / "trace"
+        shutil.copytree(trace_dir, trace)
+        activations = read_matrix(trace / "activations.ticm")
+        activations[1, 2] = np.nan
+        write_matrix(trace / "activations.ticm", activations)
+        out = tmp_path / "a"
+        model = ["--model", str(model_dir)] if mode != "autocorr" else []
+        assert main(["analyze", "--trace", str(trace), *model,
+                     "--mode", mode, "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"topica: error: {trace}/activations.ticm: holds a non-finite value\n")
+        assert not out.exists()
+
     @pytest.fixture
     def other_model(self, tmp_path, model_dir):
         """The same lattice, but not the model that computed `trace_dir`."""
@@ -1318,6 +1351,18 @@ class TestRenderCommand:
         tile = 6    # patch side 5 and one separator line
         assert not pixels[tile + 1:2 * tile, 2 * tile + 1:3 * tile].any()
         assert pixels[1:tile, 1:tile].max() == 255
+
+    def test_non_finite_basis_exits_2(self, tmp_path, model_dir, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(model_dir, model)
+        basis = read_matrix(model / "basis_matrix.ticm")
+        basis[:, 1] = np.nan
+        write_matrix(model / "basis_matrix.ticm", basis)
+        out = tmp_path / "m.pgm"
+        assert main(["render", "--model", str(model), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"topica: error: {model}/basis_matrix.ticm: holds a non-finite value\n")
+        assert not out.exists()
 
     def test_montage_unreadable_model(self, tmp_path):
         assert main(["render", "--model", str(tmp_path / "nope"),

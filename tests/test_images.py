@@ -202,16 +202,25 @@ class TestFixedPatches:
         frames = [GrayImage(np.full((5, 5), float(t)) + ramp(5, 5).values)
                   for t in range(3)]
         seq = FrameSequence(frames=frames, frame_rate=10.0)
-        ps = extract_fixed_patches(seq, (1, 2), 2)
+        ps = extract_fixed_patches(seq, (2, 1), 2)
         assert ps.data.shape == (3, 4)
         base = np.array([7.0, 8.0, 12.0, 13.0])
         for t in range(3):
             npt.assert_allclose(ps.data[t], base - base.mean(), atol=1e-12)
 
+    def test_origin_is_left_then_top(self):
+        # A ramp centres to the same patch anywhere, so a lone bright pixel
+        # in a wide frame pins the order: top 3 would leave this 6x4 frame.
+        values = np.zeros((4, 6))
+        values[1, 3] = 1.0
+        seq = FrameSequence(frames=[GrayImage(values)], frame_rate=24.0)
+        ps = extract_fixed_patches(seq, (3, 1), 2)
+        npt.assert_allclose(ps.data[0], [0.75, -0.25, -0.25, -0.25], atol=1e-12)
+
     def test_out_of_bounds(self):
         seq = FrameSequence(frames=[ramp(5, 5)], frame_rate=24.0)
         with pytest.raises(OutOfBounds):
-            extract_fixed_patches(seq, (4, 0), 2)
+            extract_fixed_patches(seq, (0, 4), 2)
 
     def test_too_large(self):
         seq = FrameSequence(frames=[ramp(5, 5)], frame_rate=24.0)
@@ -248,12 +257,12 @@ class TestResize:
 
 class TestCrop:
     def test_values(self):
-        out = crop_image(ramp(6, 6), 1, 2, 3, 2)
+        out = crop_image(ramp(6, 6), 2, 1, 2, 3)
         npt.assert_array_equal(out.values, ramp(6, 6).values[1:4, 2:4])
 
     def test_out_of_bounds(self):
         with pytest.raises(OutOfBounds):
-            crop_image(ramp(6, 6), 4, 0, 3, 2)
+            crop_image(ramp(6, 6), 0, 4, 2, 3)
 
 
 class TestPnmIO:

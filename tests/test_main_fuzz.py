@@ -9,9 +9,9 @@ at all: every path in the working directory keeps its bytes, and no path
 is added or removed.
 
 `test_every_failed_file_system_call` fails the n-th file-system call of
-a command, for every n, with ENOSPC: the command either exits 2 and
-changes nothing, or, when the call was in the cleanup after the commit,
-exits 0 with its output in place and one warning.
+a command, for every n, with ENOSPC, EACCES and EIO in turn: the command
+either exits 2 and changes nothing, or, when the call was in the cleanup
+after the commit, exits 0 with its output in place and one warning.
 
 Every example runs in a fresh working directory holding a copy of the
 artifacts under `in/`. Path values are relative names or known paths, so
@@ -326,24 +326,24 @@ FAULT_COMMANDS = {
 
 class FailNthCall:
     """Count the file-system calls that can fail, and fail the `n`-th with
-    ENOSPC; every other call goes through.
+    the error number `errnum`; every other call goes through.
 
     The calls: os.mkdir, os.makedirs, os.replace, os.rename, os.rmdir,
     os.unlink, os.remove, `open` for writing, and `write` or `writelines`
-    on a file so opened. A call that cannot fail with ENOSPC at that point
+    on a file so opened. A call that cannot fail with `errnum` at that point
     is not counted: `mkdir` of a path that exists, which fails with EEXIST
     (and which `makedirs(exist_ok=True)` swallows by design), and
     `makedirs(exist_ok=True)` of a directory that exists.
     """
 
-    def __init__(self, n: int):
-        self.n, self.calls, self.failed = n, 0, None
+    def __init__(self, n: int, errnum: int):
+        self.n, self.errnum, self.calls, self.failed = n, errnum, 0, None
 
     def point(self, name, *args):
         self.calls += 1
         if self.calls == self.n:
             self.failed = name
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), *args[:1])
+            raise OSError(self.errnum, os.strerror(self.errnum), *args[:1])
 
     def install(self, monkeypatch):
         real = {name: getattr(os, name) for name in
@@ -430,9 +430,17 @@ def _fault_run(artifacts, monkeypatch, capsys, argv, faults):
     return code, out, err, before, after
 
 
-@pytest.mark.parametrize("into", ["missing-parent", "existing-out"])
-@pytest.mark.parametrize("command", sorted(FAULT_COMMANDS))
-def test_every_failed_file_system_call(artifacts, monkeypatch, capsys, command, into):
+# (command, --out, error number) of each harness run: a full disk, a refused
+# permission and a failing device. ENOSPC keeps the bare `command-into` id.
+FAULT_CASES = [pytest.param(command, into, errnum, id=f"{command}-{into}" + (
+                   "" if errnum == errno.ENOSPC else f"-{errno.errorcode[errnum]}"))
+               for errnum in (errno.ENOSPC, errno.EACCES, errno.EIO)
+               for command in sorted(FAULT_COMMANDS)
+               for into in ("existing-out", "missing-parent")]
+
+
+@pytest.mark.parametrize("command, into, errnum", FAULT_CASES)
+def test_every_failed_file_system_call(artifacts, monkeypatch, capsys, command, into, errnum):
     # Fail the n-th call for n = 1, 2, ... until a run makes fewer than n
     # (SQLite's I/O-error testing). A failure before the output is committed
     # exits 2 with one error line and changes no path. One in the cleanup
@@ -447,7 +455,7 @@ def test_every_failed_file_system_call(artifacts, monkeypatch, capsys, command, 
     assert (code, err) == (0, "")
     outcomes = set()
     for n in itertools.count(1):
-        faults = FailNthCall(n)
+        faults = FailNthCall(n, errnum)
         code, out, err, before, after = _fault_run(artifacts, monkeypatch, capsys, argv, faults)
         if faults.failed is None:    # n is past the last call
             assert (code, out, err, after) == (0, report, "", clean)
@@ -455,7 +463,7 @@ def test_every_failed_file_system_call(artifacts, monkeypatch, capsys, command, 
         point = f"call {n} ({faults.failed})"
         if code == 2:
             assert out == "", point
-            assert err.startswith(f"topica: error: [Errno {errno.ENOSPC}] "), point
+            assert err.startswith(f"topica: error: [Errno {errnum}] "), point
             assert err.count("\n") == 1, point
             assert after == before, point
         else:
@@ -463,7 +471,7 @@ def test_every_failed_file_system_call(artifacts, monkeypatch, capsys, command, 
             assert code == 0, point
             assert out == report, point
             assert re.fullmatch(rf"topica: warning: left \S*/\.topica-[0-9a-f]{{16}} behind: "
-                                rf"\[Errno {errno.ENOSPC}\] [^\n]*\n", err), point
+                                rf"\[Errno {errnum}\] [^\n]*\n", err), point
             assert after == clean, point
         outcomes.add(code)
     assert outcomes == {0, 2}

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -42,11 +43,21 @@ def test_matrix_roundtrip(tmp_path, rng):
 
 @settings(deadline=None, max_examples=25)
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
-                  elements=st.floats(allow_nan=False, width=64)))
+                  elements=st.floats(allow_nan=False, allow_infinity=False, width=64)))
 def test_matrix_roundtrip_property(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("ticm") / "m.ticm"
     write_matrix(path, values)
     npt.assert_array_equal(read_matrix(path), values)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_rejected(tmp_path, value):
+    path = tmp_path / "m.ticm"
+    values = np.zeros((2, 3))
+    values[1, 2] = value
+    write_matrix(path, values)
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: holds a non-finite value$"):
+        read_matrix(path)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -142,8 +153,11 @@ def _refuse(raw):
 @pytest.mark.parametrize("parse, raw", [(int, "four"), (int, "1.5"), (float, "x"),
                                         (_refuse, "1")])
 def test_typed_meta_accessor_rejects_bad_value(tmp_path, parse, raw):
+    # A DataError's own message follows the value; a ValueError's does not.
+    reason = f" (refused {raw})" if parse is _refuse else ""
     path = tmp_path / "x.meta"
-    with pytest.raises(FormatError, match=rf"x\.meta: bad value for 'v': '{raw}'$"):
+    with pytest.raises(FormatError,
+                       match=rf"x\.meta: bad value for 'v': '{raw}'{re.escape(reason)}$"):
         meta_value({"v": raw}, "v", path, parse)
 
 
