@@ -11,11 +11,9 @@ nearest existing ancestor of --out, and moves it into place with one
 rename only on success, replacing an existing --out as a whole. A command
 returns the report it prints, and `main` prints it only once the output
 is in place.
-Every usage error (exit 1), an --out of the wrong kind (a file for a
-directory command; for render, a directory or a path ending in a
-separator, `.` or `..`) or beneath a non-directory included, is found
-before any input is read and before anything is created, so a command
-that fails leaves the file system as it was.
+Every usage error (exit 1), a refused --out included (`_check_output`), is
+found before any input is read and before anything is created, so a
+command that fails leaves the file system as it was.
 """
 
 from __future__ import annotations
@@ -361,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     for f in fields(RunConfig):
         p_train.add_argument("--" + f.name.replace("_", "-"),
                              type=_FIELD_PARSERS[f.name], help=f.metadata.get("help"))
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=cmd_train, directory=True)
 
     p_act = sub.add_parser("activate", help="run a model over frames, a bar, or a probe")
     p_act.add_argument("--model", required=True, help="directory written by train")
@@ -380,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_act.add_argument("--frame-rate", type=_frame_rate)
     p_act.add_argument("--bar-frames", type=_int_at_least(1))
     p_act.add_argument("--bar-thickness", type=_int_at_least(1))
-    p_act.set_defaults(func=cmd_activate)
+    p_act.set_defaults(func=cmd_activate, directory=True)
 
     p_an = sub.add_parser("analyze", help="temporal/spatial statistics of a trace")
     p_an.add_argument("--trace", required=True, help="directory written by activate")
@@ -399,12 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--permutations", type=_int_at_least(1))
     p_an.add_argument("--k", type=_int_at_least(1), help="cluster size for locality mode")
     p_an.add_argument("--seed", type=_int_at_least(0))
-    p_an.set_defaults(func=cmd_analyze)
+    p_an.set_defaults(func=cmd_analyze, directory=True)
 
     p_r = sub.add_parser("render", help="montage of all basis images on the lattice")
     p_r.add_argument("--model", required=True)
     p_r.add_argument("--out", required=True, help="output PGM path")
-    p_r.set_defaults(func=cmd_render)
+    p_r.set_defaults(func=cmd_render, directory=False)
     return parser
 
 
@@ -460,21 +458,43 @@ def _holds(args, condition: str) -> bool:
     return value in values.split(" or ") if values else value is not None
 
 
+def _check_output(flag: str, path: str, directory: bool, inputs: list) -> None:
+    """Refuse the output path `path`, named by `flag`, before anything is
+    created: a directory if `directory`, else a file. In order, on the
+    absolute path that is replaced: a path beneath a non-directory; one
+    that is, or contains, one of `inputs` or the working directory; an
+    existing path that the final move could not replace (a non-directory
+    for a directory, a directory for a file); and, for a file, a last
+    component that is empty, `.` or `..`, or a path inside one of `inputs`.
+    """
+    replaced = os.path.abspath(path)    # the path `_replacing_output` replaces
+    parent = os.path.dirname(_highest_missing(replaced))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"{flag} {path} is beneath {parent}, which is not a directory")
+    real = os.path.realpath(replaced)
+    for other in [os.getcwd()] + inputs:
+        if os.path.commonpath([real, os.path.realpath(other)]) == real:
+            raise ConfigError(f"{flag} {path} contains {other}, which replacing it would delete")
+    if not directory:
+        if os.path.isdir(replaced) and not os.path.islink(replaced):
+            raise ConfigError(f"{flag} {path} is a directory")
+        if os.path.basename(path) in ("", ".", ".."):
+            raise ConfigError(f"{flag} {path} must name a file")
+        for other in inputs:
+            if os.path.commonpath([real, os.path.realpath(other)]) == os.path.realpath(other):
+                raise ConfigError(f"{flag} {path} is inside {other}, whose files it could replace")
+    elif os.path.lexists(replaced) and not os.path.isdir(replaced):
+        raise ConfigError(f"{flag} {path} exists and is not a directory")
+
+
 def _check_command_line(args) -> None:
     """Refuse a command line before any file is read or created, then fill in
     what the command reads from `args`.
 
     In order: a scoped flag given where it does not apply (otherwise its
     default is filled in) and an analysis without the --model it needs;
-    then, on the absolute path that is replaced, an --out beneath a
-    non-directory, where nothing can be made, an --out that is, or
-    contains, an input or the working directory, an existing --out that
-    the final move could not replace (a non-directory for a directory, a
-    directory for render's file), a render --out whose last component is
-    empty, `.` or `..`, and so names no file, and a render --out inside an
-    input directory, whose files it could replace;
-    last, for train, the --config file and the flags merged into
-    `args.settings`.
+    then --out, by `_check_output`'s rules; last, for train, the --config
+    file and the flags merged into `args.settings`.
     """
     for name, (conditions, default) in _SCOPED_FLAGS.get(args.command, {}).items():
         unmet = next((condition for condition in conditions if not _holds(args, condition)), None)
@@ -484,27 +504,9 @@ def _check_command_line(args) -> None:
             setattr(args, name, default)
     if args.command == "analyze" and args.mode != "autocorr" and args.model is None:
         raise ConfigError(f"--model is required for {args.mode} analysis")
-    replaced = os.path.abspath(args.out)    # the path `_replacing_output` replaces
-    parent = os.path.dirname(_highest_missing(replaced))
-    if not os.path.isdir(parent):
-        raise ConfigError(f"--out {args.out} is beneath {parent}, which is not a directory")
-    out = os.path.realpath(replaced)
-    inputs = [path for path in (getattr(args, name, None) for name in INPUT_ARGS)
-              if path is not None]
-    for path in [os.getcwd()] + inputs:
-        if os.path.commonpath([out, os.path.realpath(path)]) == out:
-            raise ConfigError(f"--out {args.out} contains {path}, which replacing it would delete")
-    if args.command == "render":
-        if os.path.isdir(replaced) and not os.path.islink(replaced):
-            raise ConfigError(f"--out {args.out} is a directory")
-        if os.path.basename(args.out) in ("", ".", ".."):
-            raise ConfigError(f"--out {args.out} must name a file")
-        for path in inputs:
-            if os.path.commonpath([out, os.path.realpath(path)]) == os.path.realpath(path):
-                raise ConfigError(f"--out {args.out} is inside {path}, "
-                                  f"whose files it could replace")
-    elif os.path.lexists(replaced) and not os.path.isdir(replaced):
-        raise ConfigError(f"--out {args.out} exists and is not a directory")
+    _check_output("--out", args.out, args.directory,
+                  [path for path in (getattr(args, name, None) for name in INPUT_ARGS)
+                   if path is not None])
     if args.command == "train":
         args.settings = load_run_config(
             args.config, {name: getattr(args, name) for name in _FIELD_PARSERS})
@@ -542,7 +544,7 @@ def main(argv=None) -> int:
         try:
             args = parser.parse_args(argv)
             _check_command_line(args)
-            with _replacing_output(args.out, directory=args.command != "render") as out:
+            with _replacing_output(args.out, args.directory) as out:
                 report = args.func(args, out)
             try:
                 sys.stdout.write(report)

@@ -4,6 +4,10 @@ The CLI maps these onto exit codes: usage problems exit 1, data errors
 exit 2, numerical failures exit 3.
 """
 
+import sys
+
+MAX_ARRAY_BYTES = sys.maxsize    # numpy's largest array, np.iinfo(np.intp).max bytes
+
 
 class TopicaError(Exception):
     exit_code = 2

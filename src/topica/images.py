@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    MAX_ARRAY_BYTES,
     ConstantImage,
     DataError,
     DimensionMismatch,
@@ -169,6 +170,8 @@ def extract_patches_from_images(images, patch_side: int, count: int, seed: int) 
         if patch_side > min(img.width, img.height):
             raise PatchTooLarge(f"patch_side {patch_side} exceeds image size "
                                 f"{img.width}x{img.height}")
+    if count * patch_side * patch_side * 8 > MAX_ARRAY_BYTES:
+        raise DataError(f"{count} patches of side {patch_side} exceed {MAX_ARRAY_BYTES} bytes")
     out = np.empty((count, patch_side * patch_side))
     base, extra = divmod(count, len(images))
     start = 0
@@ -204,6 +207,9 @@ def _resample_axis(values: np.ndarray, new_len: int, axis: int) -> np.ndarray:
     old_len = values.shape[axis]
     if new_len == old_len:
         return values
+    pixels = new_len * values.size // old_len
+    if pixels * 8 > MAX_ARRAY_BYTES:
+        raise DataError(f"resampling to {pixels} pixels exceeds {MAX_ARRAY_BYTES} bytes")
     values = np.moveaxis(values, axis, 0)
     if new_len == 1:
         pos = np.zeros(1)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDimensions, BadPermutation
+from .errors import MAX_ARRAY_BYTES, BadDimensions, BadPermutation
 
 
 @dataclass(eq=False)
@@ -33,6 +33,9 @@ class Topography:
                 f"neighborhood span {2 * self.radius + 1} exceeds lattice side "
                 f"min({self.width}, {self.height})"
             )
+        if self.n_units ** 2 * 8 > MAX_ARRAY_BYTES:
+            raise BadDimensions(f"lattice {self.width}x{self.height}: its neighborhood matrix "
+                                f"exceeds {MAX_ARRAY_BYTES} bytes")
         if self.permutation is None:
             self.permutation = np.arange(self.n_units)
         else:

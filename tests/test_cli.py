@@ -1,7 +1,6 @@
 import argparse
 import dataclasses
 import errno
-import itertools
 import json
 import os
 import re
@@ -19,9 +18,9 @@ import numpy as np
 import pytest
 
 import topica
-from topica.cli import (RunConfig, _check_command_line, build_parser, cmd_activate,
-                        load_run_config, main, parse_crop, render_energy_heatmaps)
-from topica.errors import ConfigError
+from topica.cli import (RunConfig, _check_command_line, _check_output, build_parser,
+                        cmd_activate, load_run_config, main, parse_crop, render_energy_heatmaps)
+from topica.errors import MAX_ARRAY_BYTES, ConfigError
 from topica.images import (FrameSequence, GrayImage, crop_image, extract_fixed_patches, read_image,
                            resize_to_width, write_image)
 from topica.matrixio import content_hash, read_matrix, read_meta, write_matrix
@@ -1075,6 +1074,27 @@ class TestOutOfMemory:
         assert not [name for name in os.listdir(tmp_path) if name.startswith(".topica-")]
 
 
+class TestBeyondAnyArray:
+    @pytest.mark.parametrize("flags, code, message", [
+        (["train", "--images", "IMAGES"] + TRAIN_FLAGS + ["--n-patches", str(10**18)], 2,
+         f"{10**18} patches of side 5 exceed {MAX_ARRAY_BYTES} bytes"),
+        (["activate", "--model", "MODEL", "--frames", "FRAMES", "--resize-width", str(10**30)],
+         2, f"frame 0: resampling to {32 * 10**30} pixels exceeds {MAX_ARRAY_BYTES} bytes"),
+        (["activate", "--model", "MODEL", "--frames", "FRAMES", "--resize-width", str(10**17)],
+         2, f"frame 0: resampling to {32 * 10**17} pixels exceeds {MAX_ARRAY_BYTES} bytes"),
+        (["train", "--images", "IMAGES", "--map-width", str(10**18), "--map-height", "3"], 1,
+         f"lattice {10**18}x3: its neighborhood matrix exceeds {MAX_ARRAY_BYTES} bytes"),
+    ], ids=["n-patches", "resize-width-1e30", "resize-width-1e17", "map-width"])
+    def test_exits_on_one_line_before_allocating(self, tmp_path, image_dir, model_dir,
+                                                 frames_dir, capsys, flags, code, message):
+        # numpy refuses these sizes with a ValueError; each is refused first.
+        paths = {"IMAGES": image_dir, "MODEL": model_dir, "FRAMES": frames_dir}
+        argv = [str(paths.get(flag, flag)) for flag in flags]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr() == ("", f"topica: error: {message}\n")
+        assert os.listdir(tmp_path) == []
+
+
 # Reports the ru_maxrss, in MB, of `python -c "import topica.cli"` and of
 # `python -m topica.cli ARGV...`. A child's ru_maxrss starts from the memory
 # of the process that spawned it, so they are spawned from this small
@@ -1445,27 +1465,6 @@ def command_argv(request, image_dir, model_dir, trace_dir):
 
 
 class TestReplacingOutput:
-    def test_failed_final_move_keeps_existing_out(self, tmp_path, command_argv, monkeypatch,
-                                                  capsys):
-        out = tmp_path / "out"
-        argv = command_argv + ["--out", str(out)]
-        assert main(argv) == 0
-        before = _out_bytes(out)
-        capsys.readouterr()
-        replace = os.replace
-        moves_onto_out = itertools.count()
-
-        def replace_refusing_the_new_output(src, dst):
-            if os.fspath(dst) == str(out) and next(moves_onto_out) == 0:
-                raise PermissionError(f"cannot move {src} to {dst}")
-            replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", replace_refusing_the_new_output)
-        assert main(argv) == 2
-        assert capsys.readouterr().out == ""
-        assert _out_bytes(out) == before
-        assert os.listdir(tmp_path) == ["out"]
-
     def test_failed_cleanup_warns_and_exits_0(self, tmp_path, command_argv, monkeypatch,
                                               capsys):
         out = tmp_path / "out"
@@ -1507,20 +1506,6 @@ class TestReplacingOutput:
         assert sorted(os.listdir(out)) == ["autocorr.csv", "summary.txt"]
         assert os.listdir(tmp_path) == ["out"]
 
-    def test_failed_final_move_creates_nothing(self, tmp_path, command_argv, monkeypatch,
-                                               capsys):
-        # --out lies two missing directories deep, and the move that would put the
-        # output in place fails: neither those parents nor a .topica-* is left.
-        out = tmp_path / "a" / "b" / ("m.pgm" if command_argv[0] == "render" else "out")
-
-        def refuse(src, dst):
-            raise PermissionError(f"cannot move {src} to {dst}")
-
-        monkeypatch.setattr(os, "replace", refuse)
-        assert main(command_argv + ["--out", str(out)]) == 2
-        assert capsys.readouterr().out == ""
-        assert os.listdir(tmp_path) == []
-
     @pytest.mark.parametrize("out", ["m.pgm/", "a/b/m.pgm/", "d/."])
     def test_render_out_naming_a_directory_exits_1(self, tmp_path, model_dir, monkeypatch,
                                                    capsys, out):
@@ -1559,6 +1544,21 @@ class TestReplacingOutput:
                 "", f"topica: error: --out {out} is beneath {afile}, which is not a directory\n")
             assert os.listdir(tmp_path) == ["afile"]
             assert afile.read_bytes() == b"kept"
+
+    def test_a_second_output_path_needs_no_rule_of_its_own(self, tmp_path, monkeypatch):
+        # A file output such as a --metrics file, with --out among its inputs,
+        # is refused inside --out and at --out by the rules every output path has.
+        monkeypatch.chdir(tmp_path)
+        out = str(tmp_path / "out")
+        inputs = [str(tmp_path / "images"), out]
+        inside = os.path.join(out, "metrics.csv")
+        for metrics, refusal in [(inside, f"is inside {out}, whose files it could replace"),
+                                 (out, f"contains {out}, which replacing it would delete")]:
+            with pytest.raises(ConfigError) as refused:
+                _check_output("--metrics", metrics, directory=False, inputs=inputs)
+            assert str(refused.value) == f"--metrics {metrics} {refusal}"
+        _check_output("--metrics", str(tmp_path / "metrics.csv"), directory=False, inputs=inputs)
+        assert os.listdir(tmp_path) == []
 
     def test_failed_mkdir_prints_only_the_error(self, tmp_path, command_argv, monkeypatch,
                                                 capsys):
