@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import shutil
 import signal
@@ -180,12 +181,15 @@ def cmd_train(args, out) -> str:
     """Fit the whitening, then train on the patches whitened in place: the
     pixel rows are dropped once whitened, so the patch buffer is the only
     (n_patches, ...) array held through training, and training reorders
-    its rows in place."""
+    its rows in place. The fit may free the patches while its eigensolver
+    runs and cut them again from the images, which are dropped after it."""
     config = args.settings
-    patches = images.extract_patches_from_images(
-        _prepare_frames(images.load_images(args.images), "image", config.crop),
-        config.patch_side, config.n_patches, config.seed)
-    model_w = whit.fit_whitening(patches, config.k)
+    frames = _prepare_frames(images.load_images(args.images), "image", config.crop)
+    cut = functools.partial(images.extract_patches_from_images, frames,
+                            config.patch_side, config.n_patches, config.seed)
+    patches = cut()
+    model_w = whit.fit_whitening(patches, config.k, recut=cut)
+    del frames, cut
     topo = build_topography(config.map_width, config.map_height, config.radius)
     rows = whit.whiten(model_w, patches, in_place=True)
     del patches    # its rows now hold whitened values, not pixels

@@ -83,6 +83,10 @@ class RankDeficient(NumericalError):
     """Covariance rank is too low for the requested component count."""
 
 
+class EigensolverFailed(NumericalError):
+    """LAPACK did not return the requested eigenpairs."""
+
+
 class SingularMatrix(NumericalError):
     """Matrix is numerically singular."""
 

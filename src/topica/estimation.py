@@ -450,14 +450,12 @@ def load_basis(directory) -> BasisModel:
         if stop_reason not in STOP_REASONS:
             raise FormatError(f"{meta_path}: stop_reason must be one of "
                               f"{', '.join(STOP_REASONS)}, got {stop_reason!r}")
-    topo = Topography(
-        width=meta_value(meta, "map_width", meta_path, int),
-        height=meta_value(meta, "map_height", meta_path, int),
-        radius=meta_value(meta, "radius", meta_path, int),
-        permutation=permutation,
-    )
-    if filters.shape[0] != topo.n_units:
-        raise FormatError(f"{directory}: {filters.shape[0]} filters for {topo.n_units} units")
+    width = meta_value(meta, "map_width", meta_path, int)
+    height = meta_value(meta, "map_height", meta_path, int)
+    if filters.shape[0] != width * height:    # before the lattice's arrays are sized by it
+        raise FormatError(f"{directory}: {filters.shape[0]} filters for {width * height} units")
+    topo = Topography(width=width, height=height,
+                      radius=meta_value(meta, "radius", meta_path, int), permutation=permutation)
     if basis.shape[1] != filters.shape[0]:
         raise FormatError(f"{os.path.join(directory, BASIS_FILE)}: {basis.shape[1]} basis "
                           f"columns for {filters.shape[0]} filters")

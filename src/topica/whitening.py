@@ -4,11 +4,16 @@ The whitening transform is built from the eigendecomposition of the
 uncentered sample covariance (expectation form, divisor n_samples):
 rows of the transform are the top-k eigenvectors scaled by 1/sqrt of
 their eigenvalues, so the whitened training data has identity
-covariance. The eigenvectors come from ``eigh`` of whichever Gram matrix
-is smaller: X^T X / T when there are no more pixels than samples, and
-otherwise X X^T / T, whose eigenvectors u map to those of X^T X / T as
+covariance. The eigenvectors come from whichever Gram matrix is smaller:
+X^T X / T when there are no more pixels than samples, and otherwise
+X X^T / T, whose eigenvectors u map to those of X^T X / T as
 X^T u / sqrt(lambda T) (the method of snapshots, Sirovich 1987). The
 branch depends on the data shape alone, so refits are bit-identical.
+
+Only the top k eigenpairs are computed, by LAPACK's `dsyevr` from the
+OpenBLAS bundled with numpy (`_blas.top_eigh`), which needs no n x n
+workspace. Where numpy brings no such library, the top k are sliced from
+``numpy.linalg.eigh``, which computes all n.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import top_eigh
 from .errors import BadK, DimensionMismatch, FormatError, RankDeficient
 from .images import PatchSet
 from .matrixio import (
@@ -80,7 +86,7 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs[:, None]
 
 
-def fit_whitening(patches: PatchSet, k: int) -> WhiteningModel:
+def fit_whitening(patches: PatchSet, k: int, recut=None) -> WhiteningModel:
     """Fit the top-k whitening transform to a patch set.
 
     Parameters
@@ -93,6 +99,13 @@ def fit_whitening(patches: PatchSet, k: int) -> WhiteningModel:
         covariance must exceed max(n_samples, n_pixels) * eps * lambda_max,
         the Gram matrix's roundoff floor (the analogue of the default
         tolerance of ``numpy.linalg.matrix_rank``).
+    recut : callable, optional
+        Returns a PatchSet equal to `patches`. When there are more pixels
+        than samples, the patches are needed for the Gram matrix and again
+        for the map back, but not by the eigensolver between them. Given
+        `recut`, `patches.data` is set to None while the solver runs, so
+        that the caller's array can be freed, and is then set to
+        `recut().data`. Not called otherwise.
 
     Returns
     -------
@@ -114,10 +127,15 @@ def fit_whitening(patches: PatchSet, k: int) -> WhiteningModel:
     snapshots = n_pixels > n_samples
     gram = data @ data.T if snapshots else data.T @ data
     gram /= n_samples
-    eigenvalues, vectors = np.linalg.eigh(gram)
-    # eigh sorts ascending; keep the top k in descending order.
-    eigenvalues = eigenvalues[::-1][:k]
-    vectors = vectors[:, ::-1][:, :k]
+    release = snapshots and recut is not None
+    if release:
+        patches.data = data = None
+    try:
+        eigenvalues, vectors = top_eigh(gram, k)
+    finally:
+        del gram
+        if release:
+            patches.data = data = recut().data
     floor = max(n_samples, n_pixels) * np.finfo(np.float64).eps * eigenvalues[0]
     if eigenvalues[-1] <= floor:
         raise RankDeficient(

@@ -23,7 +23,7 @@ from topica.cli import (RunConfig, _check_command_line, _check_output, build_par
 from topica.errors import MAX_ARRAY_BYTES, ConfigError
 from topica.images import (FrameSequence, GrayImage, crop_image, extract_fixed_patches, read_image,
                            resize_to_width, write_image)
-from topica.matrixio import content_hash, read_matrix, read_meta, write_matrix
+from topica.matrixio import content_hash, read_matrix, read_meta, write_matrix, write_meta
 from topica.topography import build_topography
 
 
@@ -499,6 +499,23 @@ class TestModelShapes:
         out = tmp_path / "out"
         assert main(_model_argv(command, model, frames_dir, out)) == 2
         _assert_data_error_naming(capsys, "basis_matrix.ticm")
+        assert not out.exists()
+
+    def test_map_larger_than_the_filters(self, tmp_path, model_dir):
+        # The filter count is checked before the lattice's arrays are sized by
+        # the map: a 30000x30000 lattice would first allocate 6.7 GiB. The
+        # child runs under the address-space cap, so a regression fails
+        # without filling the host's memory.
+        model = tmp_path / "model"
+        shutil.copytree(model_dir, model)
+        meta = read_meta(model / "basis.meta")
+        meta.update(map_width="30000", map_height="30000")
+        write_meta(model / "basis.meta", meta)
+        out = tmp_path / "out"
+        proc = _run_cli("render", "--model", str(model), "--out", str(out),
+                        preexec_fn=_cap_address_space)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"topica: error: {model}: 16 filters for {30000**2} units\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ACTIVATE_SOURCES, ids=lambda argv: argv[1])
@@ -1111,28 +1128,34 @@ print(json.dumps([maxrss_mb(["-c", "import topica.cli"]),
 """
 
 
-# Desk size: 20000 patches of 9x9 pixels whitened to 64 dimensions.
-DESK_PATCHES, DESK_PIXELS, DESK_K = 20000, 81, 64
-
-
-@pytest.fixture(scope="class")
-def desk_train_rise_mb(tmp_path_factory):
-    """How far the ru_maxrss of a desk-size `train` process rises above that
-    of a process that only imports topica.cli, in MB."""
-    tmp_path = tmp_path_factory.mktemp("desk")
+def _train_rise_mb(tmp_path, n_images, *flags):
+    """How far the ru_maxrss of a `train` process on `n_images` dead-leaves
+    images of 256x256 rises above that of a process that only imports
+    topica.cli, in MB."""
     images = tmp_path / "images"
     images.mkdir()
-    for i in range(4):
+    for i in range(n_images):
         write_image(images / f"leaves_{i}.pgm",
                     topica.generate_dead_leaves(256, 256, 220, seed=i))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
                PYTHONPATH=os.path.dirname(os.path.dirname(topica.__file__)))
     proc = subprocess.run([sys.executable, "-c", _MAXRSS_DRIVER, "train",
                            "--images", str(images), "--out", str(tmp_path / "model"),
-                           "--n-patches", str(DESK_PATCHES), "--max-iters", "1"],
+                           "--max-iters", "1", *flags],
                           capture_output=True, text=True, env=env, check=True)
     imported, trained = json.loads(proc.stdout)
     return trained - imported
+
+
+# Desk size: 20000 patches of 9x9 pixels whitened to 64 dimensions.
+DESK_PATCHES, DESK_PIXELS, DESK_K = 20000, 81, 64
+# Wide size: more pixels than patches, 1500 patches of 64x64 whitened to 144.
+WIDE_PATCHES, WIDE_SIDE, WIDE_K = 1500, 64, 144
+
+
+@pytest.fixture(scope="class")
+def desk_train_rise_mb(tmp_path_factory):
+    return _train_rise_mb(tmp_path_factory.mktemp("desk"), 4, "--n-patches", str(DESK_PATCHES))
 
 
 class TestProcessMemory:
@@ -1151,6 +1174,18 @@ class TestProcessMemory:
         # held beside the (n, p) one: ~22 MB in place of ~31.3 MB.
         patches_mb = DESK_PATCHES * DESK_PIXELS * 8 / 2**20
         assert desk_train_rise_mb < patches_mb + 13
+
+    def test_wide_fit_holds_neither_full_spectrum_nor_patches_in_the_solver(self, tmp_path):
+        # At p > T the fit solves the T x T Gram. `eigh` of all T eigenpairs
+        # adds about 4 Grams of workspace and output, beside the patches it
+        # kept alive: a rise of ~143 MB. The top-k solver, with the patches
+        # freed while it runs and cut again after it, rose ~89 MB.
+        rise_mb = _train_rise_mb(tmp_path, 3, "--patch-side", str(WIDE_SIDE),
+                                 "--n-patches", str(WIDE_PATCHES), "--k", str(WIDE_K),
+                                 "--map-width", "12", "--map-height", "12")
+        patches_mb = WIDE_PATCHES * WIDE_SIDE**2 * 8 / 2**20
+        gram_mb = WIDE_PATCHES**2 * 8 / 2**20
+        assert rise_mb < patches_mb + 3 * gram_mb
 
 
 class TestOutOfRangeFlags:

@@ -1,7 +1,11 @@
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from topica import _blas
+from topica._blas import top_eigh
 from topica.errors import BadK, DimensionMismatch, RankDeficient
 from topica.images import PatchSet
 from topica.whitening import (
@@ -226,3 +230,83 @@ def test_in_place_whiten_refuses_non_contiguous_data(rng):
     with pytest.raises(ValueError, match="C-contiguous"):
         whiten(model, patches, in_place=True)
     npt.assert_array_equal(patches.data, before)
+
+
+def _symmetric(rng, eigenvalues):
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues), len(eigenvalues))))
+    return (q * eigenvalues) @ q.T
+
+
+@pytest.mark.parametrize("eigenvalues, k", [
+    (np.linspace(1, 20, 20), 1),
+    (np.linspace(1, 20, 20), 20),
+    (np.linspace(1, 20, 20), 7),
+    (np.array([9.0, 9.0, 9.0, 4.0, 4.0, 1.0, 0.5, 0.5]), 3),    # k ends a repeated triple
+    (np.array([9.0, 9.0, 9.0, 4.0, 4.0, 1.0, 0.5, 0.5]), 5),
+    (np.array([9.0, 9.0, 9.0, 4.0, 4.0, 1.0, 0.5, 0.5]), 8),
+], ids=["k1", "kn", "k7", "triple-k3", "pairs-k5", "pairs-kn"])
+def test_top_eigh_matches_eigh(eigenvalues, k):
+    # The vectors of a repeated eigenvalue are not unique, so compare the
+    # projector onto the returned subspace; every k here ends at a gap.
+    gram = _symmetric(np.random.default_rng(k), eigenvalues)
+    values, vectors = top_eigh(gram.copy(), k)
+    reference_values, reference = np.linalg.eigh(gram)
+    reference_values, reference = reference_values[::-1][:k], reference[:, ::-1][:, :k]
+    assert vectors.shape == (gram.shape[0], k)
+    npt.assert_allclose(values, reference_values, rtol=1e-12)
+    npt.assert_allclose(vectors.T @ vectors, np.eye(k), atol=1e-12)
+    npt.assert_allclose(vectors @ vectors.T, reference @ reference.T, atol=1e-12)
+    npt.assert_allclose(gram @ vectors, vectors * values, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape, k", [((4, 3), 2), ((3, 3), 0), ((3, 3), 4)])
+def test_top_eigh_refuses_sizes_lapack_would_overrun(shape, k):
+    with pytest.raises(ValueError, match="square matrix"):
+        top_eigh(np.ones(shape), k)
+
+
+def test_top_eigh_binds_the_bundled_lapack():
+    # numpy's wheel bundles the ILP64 OpenBLAS; without it the fallback test
+    # below would compare the fallback with itself.
+    assert _blas._dsyevr() is not None
+
+
+def test_fallback_matches_the_solver(rng, monkeypatch):
+    ps = random_patches(rng, count=40, side=8)
+    solved = fit_whitening(ps, 30)
+    monkeypatch.setattr(_blas, "_dsyevr", lambda: None)
+    sliced = fit_whitening(ps, 30)
+    npt.assert_allclose(sliced.eigenvalues, solved.eigenvalues, rtol=1e-10)
+    npt.assert_allclose(sliced.transform, solved.transform, atol=1e-10)
+    npt.assert_allclose(sliced.inverse, solved.inverse, atol=1e-10)
+
+
+def test_fallback_keeps_the_rank_floor(rng, monkeypatch):
+    monkeypatch.setattr(_blas, "_dsyevr", lambda: None)
+    data = rng.standard_normal((100, 4))
+    data = data - data.mean(axis=1, keepdims=True)
+    with pytest.raises(RankDeficient):
+        fit_whitening(PatchSet(data, 2), 4)
+
+
+@pytest.mark.parametrize("count, side", [(40, 8), (400, 4)], ids=["p>T", "p<=T"])
+def test_recut_gives_the_same_bits(count, side):
+    def patches():
+        return random_patches(np.random.default_rng(7), count, side)
+
+    recut_calls = []
+
+    def recut():
+        recut_calls.append(first() is None)
+        return patches()
+
+    ps = patches()
+    first = weakref.ref(ps.data)
+    model = fit_whitening(ps, 12, recut=recut)
+    reference = fit_whitening(patches(), 12)
+    for name in ("transform", "inverse", "eigenvalues"):
+        assert getattr(model, name).tobytes() == getattr(reference, name).tobytes()
+    assert ps.data.tobytes() == patches().data.tobytes()
+    # With more pixels than samples the first array is freed before the
+    # solver runs; otherwise the fit never gives it up.
+    assert recut_calls == ([True] if count < side * side else [])
