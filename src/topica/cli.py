@@ -179,10 +179,10 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
 
 def cmd_train(args, out) -> str:
     """Fit the whitening, then train on the patches whitened in place: the
-    pixel rows are dropped once whitened, so the patch buffer is the only
-    (n_patches, ...) array held through training, and training reorders
-    its rows in place. The fit may free the patches while its eigensolver
-    runs and cut them again from the images, which are dropped after it."""
+    patch buffer is shrunk to the (n_patches, k) rows once whitened, so
+    training holds those rows only, and reorders them in place. The fit
+    may free the patches while its eigensolver runs and cut them again
+    from the images, which are dropped after it."""
     config = args.settings
     frames = _prepare_frames(images.load_images(args.images), "image", config.crop)
     cut = functools.partial(images.extract_patches_from_images, frames,
@@ -191,8 +191,8 @@ def cmd_train(args, out) -> str:
     model_w = whit.fit_whitening(patches, config.k, recut=cut)
     del frames, cut
     topo = build_topography(config.map_width, config.map_height, config.radius)
-    rows = whit.whiten(model_w, patches, in_place=True)
-    del patches    # its rows now hold whitened values, not pixels
+    rows = whit.whiten(model_w, patches, in_place=True)    # takes patches.data
+    del patches
     model_b = estimation.train(rows, model_w, topo, config)
     whit.save_whitening(model_w, out)
     estimation.save_basis(model_b, out)

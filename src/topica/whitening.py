@@ -19,6 +19,8 @@ workspace. Where numpy brings no such library, the top k are sliced from
 from __future__ import annotations
 
 import os
+import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +81,10 @@ class WhiteningModel:
         )
 
 
-def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip rows so each eigenvector's largest-magnitude entry is positive."""
+def _fix_eigenvector_signs(vectors: np.ndarray) -> None:
+    """Flip rows in place so each eigenvector's largest-magnitude entry is positive."""
     idx = np.argmax(np.abs(vectors), axis=1)
-    signs = np.sign(vectors[np.arange(vectors.shape[0]), idx])
-    return vectors * signs[:, None]
+    vectors *= np.sign(vectors[np.arange(vectors.shape[0]), idx])[:, None]
 
 
 def fit_whitening(patches: PatchSet, k: int, recut=None) -> WhiteningModel:
@@ -118,7 +119,10 @@ def fit_whitening(patches: PatchSet, k: int, recut=None) -> WhiteningModel:
     Notes
     -----
     The eigendecomposition works on the smaller of the two Gram matrices,
-    a square of side min(n_samples, n_pixels), scaled in place.
+    a square of side min(n_samples, n_pixels), scaled in place. The map
+    back computes u^T X, which has the transform's (k, n_pixels) layout,
+    and scales and sign-fixes it in place, so beside the patches the fit
+    holds at most two (k, n_pixels) arrays: the transform and the inverse.
     """
     data = patches.data
     n_samples, n_pixels = data.shape
@@ -142,15 +146,18 @@ def fit_whitening(patches: PatchSet, k: int, recut=None) -> WhiteningModel:
             f"eigenvalue {k} of the sample covariance is {eigenvalues[-1]:.3e}, "
             f"within roundoff of zero (<= {floor:.3e})"
         )
+    # From here on `vectors` is (k, n_pixels), a C array laid out as the
+    # transform, and every step but the inverse works in it.
     if snapshots:
-        vectors = data.T @ vectors / np.sqrt(eigenvalues * n_samples)
-    vectors = _fix_eigenvector_signs(vectors.T)
+        vectors = vectors.T @ data
+        vectors /= np.sqrt(eigenvalues * n_samples)[:, None]
+    else:
+        vectors = np.ascontiguousarray(vectors.T)
+    _fix_eigenvector_signs(vectors)
     scale = np.sqrt(eigenvalues)
-    return WhiteningModel(
-        transform=vectors / scale[:, None],
-        inverse=vectors.T * scale[None, :],
-        eigenvalues=eigenvalues,
-    )
+    inverse = np.multiply(vectors.T, scale, order="C")
+    vectors /= scale[:, None]
+    return WhiteningModel(transform=vectors, inverse=inverse, eigenvalues=eigenvalues)
 
 
 def whiten(model: WhiteningModel, patches: PatchSet, in_place: bool = False) -> np.ndarray:
@@ -163,14 +170,16 @@ def whiten(model: WhiteningModel, patches: PatchSet, in_place: bool = False) -> 
     other bits.
 
     By default the rows go into a new array and `patches` is not modified.
-    With `in_place`, they overwrite `patches.data` instead: row i's k values
-    go into its flat slots i*k .. i*k + k - 1, and the (n, k) view of those
-    first n*k slots is returned. The caller gives up the patches, whose
-    rows are no longer pixels, and holds one array in place of two.
-    `patches.data` must then be C-contiguous. As k <= n_pixels, each
-    forward block overwrites only slots of rows up to its own, which it
-    has read; the last block, whose input an earlier block may overwrite,
-    is computed first.
+    With `in_place`, the caller gives up the patches: the rows overwrite
+    `patches.data`, row i's k values in its flat slots i*k .. i*k + k - 1,
+    `patches.data` is set to None, and the buffer itself is shrunk to
+    (n, k) and returned, without a copy. Training then holds the (n, k)
+    rows only. As k <= n_pixels, each forward block overwrites only slots
+    of rows up to its own, which it has read; the last block, whose input
+    an earlier block may overwrite, is computed first. A buffer that cannot
+    be shrunk is refused with ValueError before it is written: one that is
+    not C-contiguous, does not own its data, or that anything but
+    `patches` refers to (another name, a view, a weak reference).
     """
     if patches.n_pixels != model.n_pixels:
         raise DimensionMismatch(
@@ -178,12 +187,19 @@ def whiten(model: WhiteningModel, patches: PatchSet, in_place: bool = False) -> 
         )
     data = patches.data
     n_samples, k = data.shape[0], model.k
-    if not in_place:
-        z = np.empty((n_samples, k))
-    elif data.flags.c_contiguous:
+    if in_place:
+        patches.data = None
+        # The test `resize` makes, made before any row is written: only
+        # `data` refers to the buffer. getrefcount counts its own argument,
+        # as `resize` counts the reference of the call.
+        if not (data.flags.c_contiguous and data.flags.owndata
+                and sys.getrefcount(data) == 2 and weakref.getweakrefcount(data) == 0):
+            patches.data = data
+            raise ValueError("whitening in place needs C-contiguous patch data that owns "
+                             "its buffer and that nothing else refers to")
         z = data.reshape(-1)[:n_samples * k].reshape(n_samples, k)
     else:
-        raise ValueError("whitening in place needs C-contiguous patch data")
+        z = np.empty((n_samples, k))
     transform_t = model.transform.T
     last = max(n_samples - CHUNK, 0)
     last_rows = data[last:] @ transform_t
@@ -192,7 +208,11 @@ def whiten(model: WhiteningModel, patches: PatchSet, in_place: bool = False) -> 
         # computes such a product as if the operands did not overlap.
         np.matmul(data[start:start + CHUNK], transform_t, out=z[start:start + CHUNK])
     z[last:] = last_rows
-    return z
+    if not in_place:
+        return z
+    del z    # the view's reference would block the resize
+    data.resize((n_samples, k))    # realloc keeps the first n*k values in place
+    return data
 
 
 def dewhiten(model: WhiteningModel, z: np.ndarray) -> np.ndarray:

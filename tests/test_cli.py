@@ -1158,6 +1158,13 @@ def desk_train_rise_mb(tmp_path_factory):
     return _train_rise_mb(tmp_path_factory.mktemp("desk"), 4, "--n-patches", str(DESK_PATCHES))
 
 
+@pytest.fixture(scope="class")
+def wide_train_rise_mb(tmp_path_factory):
+    return _train_rise_mb(tmp_path_factory.mktemp("wide"), 3, "--patch-side", str(WIDE_SIDE),
+                          "--n-patches", str(WIDE_PATCHES), "--k", str(WIDE_K),
+                          "--map-width", "12", "--map-height", "12")
+
+
 class TestProcessMemory:
     # The margins cover the images, the held-out rows, the kernel scratch and
     # one block's buffers.
@@ -1175,17 +1182,24 @@ class TestProcessMemory:
         patches_mb = DESK_PATCHES * DESK_PIXELS * 8 / 2**20
         assert desk_train_rise_mb < patches_mb + 13
 
-    def test_wide_fit_holds_neither_full_spectrum_nor_patches_in_the_solver(self, tmp_path):
+    def test_wide_fit_holds_neither_full_spectrum_nor_patches_in_the_solver(
+            self, wide_train_rise_mb):
         # At p > T the fit solves the T x T Gram. `eigh` of all T eigenpairs
         # adds about 4 Grams of workspace and output, beside the patches it
         # kept alive: a rise of ~143 MB. The top-k solver, with the patches
         # freed while it runs and cut again after it, rose ~89 MB.
-        rise_mb = _train_rise_mb(tmp_path, 3, "--patch-side", str(WIDE_SIDE),
-                                 "--n-patches", str(WIDE_PATCHES), "--k", str(WIDE_K),
-                                 "--map-width", "12", "--map-height", "12")
         patches_mb = WIDE_PATCHES * WIDE_SIDE**2 * 8 / 2**20
         gram_mb = WIDE_PATCHES**2 * 8 / 2**20
-        assert rise_mb < patches_mb + 3 * gram_mb
+        assert wide_train_rise_mb < patches_mb + 3 * gram_mb
+
+    def test_wide_train_holds_no_patch_buffer_past_the_whitening(self, wide_train_rise_mb):
+        # Whitened in place, the patch buffer is shrunk to its (T, k) rows,
+        # and the map back holds two (k, p) arrays beside the patches, so the
+        # peak is the patches plus the Gram while the Gram is computed: a rise
+        # of ~75 MB. Training on the whole (T, p) buffer rose ~90 MB.
+        patches_mb = WIDE_PATCHES * WIDE_SIDE**2 * 8 / 2**20
+        gram_mb = WIDE_PATCHES**2 * 8 / 2**20
+        assert wide_train_rise_mb < patches_mb + 2 * gram_mb
 
 
 class TestOutOfRangeFlags:

@@ -218,8 +218,10 @@ def test_in_place_whiten_is_the_one_product(n_samples, k):
     expected = (data @ model.transform.T).tobytes()
     patches = PatchSet(data.copy(), 9)
     z = whiten(model, patches, in_place=True)
+    # The patch buffer itself, given up by `patches` and shrunk to (n, k).
+    assert patches.data is None and z.base is None
     assert z.shape == (n_samples, k) and z.flags.c_contiguous
-    assert np.shares_memory(z, patches.data)
+    assert z.nbytes == n_samples * k * 8
     assert z.tobytes() == expected
 
 
@@ -230,6 +232,21 @@ def test_in_place_whiten_refuses_non_contiguous_data(rng):
     with pytest.raises(ValueError, match="C-contiguous"):
         whiten(model, patches, in_place=True)
     npt.assert_array_equal(patches.data, before)
+
+
+@pytest.mark.parametrize("holder", [lambda data: data, lambda data: data[:5], weakref.ref],
+                         ids=["second-name", "view", "weakref"])
+def test_in_place_whiten_refuses_a_buffer_held_elsewhere(rng, holder):
+    # Such a buffer cannot be shrunk, so it is refused before it is written.
+    model = fit_whitening(random_patches(rng), 8)
+    patches = PatchSet(rng.standard_normal((30, 16)), 4)
+    pixels = patches.data.tobytes()
+    other = holder(patches.data)
+    with pytest.raises(ValueError, match="nothing else refers to"):
+        whiten(model, patches, in_place=True)
+    assert patches.data.tobytes() == pixels
+    del other
+    assert whiten(model, patches, in_place=True).shape == (30, 8)
 
 
 def _symmetric(rng, eigenvalues):
@@ -310,3 +327,22 @@ def test_recut_gives_the_same_bits(count, side):
     # With more pixels than samples the first array is freed before the
     # solver runs; otherwise the fit never gives it up.
     assert recut_calls == ([True] if count < side * side else [])
+
+
+@pytest.mark.parametrize("count, side, recut", [(40, 8, False), (40, 8, True), (400, 4, False)],
+                         ids=["p>T", "p>T-recut", "p<=T"])
+def test_map_back_is_the_snapshot_formula_in_the_transform_layout(count, side, recut):
+    def patches():
+        return random_patches(np.random.default_rng(11), count, side)
+
+    model = fit_whitening(patches(), 12, recut=patches if recut else None)
+    assert model.transform.flags.c_contiguous and model.inverse.flags.c_contiguous
+    # X^T u / sqrt(lambda T), then the sign fix, then the scale, as (p, k).
+    data = patches().data
+    snapshots = count < side * side
+    values, vectors = top_eigh((data @ data.T if snapshots else data.T @ data) / count, 12)
+    if snapshots:
+        vectors = data.T @ vectors / np.sqrt(values * count)
+    vectors = vectors * np.sign(vectors[np.argmax(np.abs(vectors), axis=0), np.arange(12)])
+    npt.assert_allclose(model.transform, vectors.T / np.sqrt(values)[:, None], rtol=0, atol=1e-12)
+    npt.assert_allclose(model.inverse, vectors * np.sqrt(values), rtol=0, atol=1e-12)
