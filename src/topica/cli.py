@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import os
 import shutil
 import signal
@@ -178,18 +177,15 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
 
 
 def cmd_train(args, out) -> str:
-    """Fit the whitening, then train on the patches whitened in place: the
-    patch buffer is shrunk to the (n_patches, k) rows once whitened, so
-    training holds those rows only, and reorders them in place. The fit
-    may free the patches while its eigensolver runs and cut them again
-    from the images, which are dropped after it."""
+    """Cut the patches once, from images that are freed as soon as they are
+    cut, fit the whitening, then train on the patches whitened in place:
+    the patch buffer is shrunk to the (n_patches, k) rows once whitened,
+    so training holds those rows only, and reorders them in place."""
     config = args.settings
-    frames = _prepare_frames(images.load_images(args.images), "image", config.crop)
-    cut = functools.partial(images.extract_patches_from_images, frames,
-                            config.patch_side, config.n_patches, config.seed)
-    patches = cut()
-    model_w = whit.fit_whitening(patches, config.k, recut=cut)
-    del frames, cut
+    patches = images.extract_patches_from_images(
+        _prepare_frames(images.load_images(args.images), "image", config.crop),
+        config.patch_side, config.n_patches, config.seed)
+    model_w = whit.fit_whitening(patches, config.k)
     topo = build_topography(config.map_width, config.map_height, config.radius)
     rows = whit.whiten(model_w, patches, in_place=True)    # takes patches.data
     del patches

@@ -87,26 +87,19 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> None:
     vectors *= np.sign(vectors[np.arange(vectors.shape[0]), idx])[:, None]
 
 
-def fit_whitening(patches: PatchSet, k: int, recut=None) -> WhiteningModel:
+def fit_whitening(patches: PatchSet, k: int) -> WhiteningModel:
     """Fit the top-k whitening transform to a patch set.
 
     Parameters
     ----------
     patches : PatchSet
-        Training data, one flattened patch per row.
+        Training data, one flattened patch per row; not modified.
     k : int
         Number of principal components to retain. Must not exceed
         min(n_samples, n_pixels), and the k-th eigenvalue of the sample
         covariance must exceed max(n_samples, n_pixels) * eps * lambda_max,
         the Gram matrix's roundoff floor (the analogue of the default
         tolerance of ``numpy.linalg.matrix_rank``).
-    recut : callable, optional
-        Returns a PatchSet equal to `patches`. When there are more pixels
-        than samples, the patches are needed for the Gram matrix and again
-        for the map back, but not by the eigensolver between them. Given
-        `recut`, `patches.data` is set to None while the solver runs, so
-        that the caller's array can be freed, and is then set to
-        `recut().data`. Not called otherwise.
 
     Returns
     -------
@@ -131,15 +124,8 @@ def fit_whitening(patches: PatchSet, k: int, recut=None) -> WhiteningModel:
     snapshots = n_pixels > n_samples
     gram = data @ data.T if snapshots else data.T @ data
     gram /= n_samples
-    release = snapshots and recut is not None
-    if release:
-        patches.data = data = None
-    try:
-        eigenvalues, vectors = top_eigh(gram, k)
-    finally:
-        del gram
-        if release:
-            patches.data = data = recut().data
+    eigenvalues, vectors = top_eigh(gram, k)
+    del gram
     floor = max(n_samples, n_pixels) * np.finfo(np.float64).eps * eigenvalues[0]
     if eigenvalues[-1] <= floor:
         raise RankDeficient(

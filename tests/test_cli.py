@@ -357,6 +357,57 @@ class TestTrainCommand:
         assert meta["iterations"] == printed == str(len(log_rows) - 1)
 
 
+# Two shapes on the 96x96 images of `image_dir`, both whitened to 16
+# dimensions: fewer pixels than patches, and more.
+TRAIN_SHAPES = {"p<=T": {"patch_side": 5, "n_patches": 2000},
+                "p>T": {"patch_side": 8, "n_patches": 40}}
+
+
+@pytest.fixture(scope="class", params=list(TRAIN_SHAPES))
+def cli_trained(request, tmp_path_factory, image_dir):
+    """A `train` run in process at one of TRAIN_SHAPES: its settings, its
+    output directory and how many times it cut patches from the images."""
+    settings = dict(TRAIN_SHAPES[request.param], k=16, map_width=4, map_height=4,
+                    max_iters=10, seed=3)
+    out = tmp_path_factory.mktemp("trained") / "model"
+    cut = topica.images.extract_patches_from_images
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return cut(*args, **kwargs)
+
+    flags = [flag for key, value in settings.items()
+             for flag in (f"--{key.replace('_', '-')}", str(value))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(topica.images, "extract_patches_from_images", counted)
+        assert main(["train", "--images", str(image_dir), "--out", str(out)] + flags) == 0
+    return settings, out, len(calls)
+
+
+class TestTrainPipeline:
+    def test_cuts_the_patches_once(self, cli_trained):
+        assert cli_trained[2] == 1
+
+    def test_writes_the_library_path_bytes(self, tmp_path, image_dir, cli_trained):
+        settings, out, _ = cli_trained
+        frames = [topica.normalize_image(img) for img in topica.load_images(image_dir)]
+        patches = topica.extract_patches_from_images(frames, settings["patch_side"],
+                                                     settings["n_patches"], settings["seed"])
+        whitening = topica.fit_whitening(patches, settings["k"])
+        model = topica.train(patches, whitening,
+                             build_topography(settings["map_width"], settings["map_height"],
+                                              radius=1),
+                             topica.TrainConfig(max_iters=settings["max_iters"],
+                                                seed=settings["seed"]))
+        topica.save_whitening(whitening, tmp_path)
+        topica.save_basis(model, tmp_path)
+        for name in ["whitening_matrix.ticm", "dewhitening_matrix.ticm", "whitening.meta",
+                     "filter_matrix.ticm", "basis_matrix.ticm", "basis.meta",
+                     "training_log.csv"]:
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
 def _edit_meta(path, key, value):
     """Rewrite one ``key = value`` line; value None drops the line."""
     lines = [line for line in path.read_text().splitlines()
@@ -1182,21 +1233,14 @@ class TestProcessMemory:
         patches_mb = DESK_PATCHES * DESK_PIXELS * 8 / 2**20
         assert desk_train_rise_mb < patches_mb + 13
 
-    def test_wide_fit_holds_neither_full_spectrum_nor_patches_in_the_solver(
-            self, wide_train_rise_mb):
-        # At p > T the fit solves the T x T Gram. `eigh` of all T eigenpairs
-        # adds about 4 Grams of workspace and output, beside the patches it
-        # kept alive: a rise of ~143 MB. The top-k solver, with the patches
-        # freed while it runs and cut again after it, rose ~89 MB.
-        patches_mb = WIDE_PATCHES * WIDE_SIDE**2 * 8 / 2**20
-        gram_mb = WIDE_PATCHES**2 * 8 / 2**20
-        assert wide_train_rise_mb < patches_mb + 3 * gram_mb
-
     def test_wide_train_holds_no_patch_buffer_past_the_whitening(self, wide_train_rise_mb):
-        # Whitened in place, the patch buffer is shrunk to its (T, k) rows,
-        # and the map back holds two (k, p) arrays beside the patches, so the
-        # peak is the patches plus the Gram while the Gram is computed: a rise
-        # of ~75 MB. Training on the whole (T, p) buffer rose ~90 MB.
+        # At p > T the fit solves the T x T Gram for its top k eigenpairs, and
+        # the map back holds two (k, p) arrays beside the patches. Whitened in
+        # place, the patch buffer is shrunk to its (T, k) rows, so the peak is
+        # the patches, the Gram and the solver's eigenvectors during the
+        # solve: a rise of ~76 MB. Training on the whole (T, p) buffer rose
+        # ~90 MB, and `eigh` of all T eigenpairs, about 4 Grams of workspace
+        # and output, ~143 MB.
         patches_mb = WIDE_PATCHES * WIDE_SIDE**2 * 8 / 2**20
         gram_mb = WIDE_PATCHES**2 * 8 / 2**20
         assert wide_train_rise_mb < patches_mb + 2 * gram_mb

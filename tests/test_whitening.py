@@ -307,38 +307,15 @@ def test_fallback_keeps_the_rank_floor(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("count, side", [(40, 8), (400, 4)], ids=["p>T", "p<=T"])
-def test_recut_gives_the_same_bits(count, side):
-    def patches():
-        return random_patches(np.random.default_rng(7), count, side)
-
-    recut_calls = []
-
-    def recut():
-        recut_calls.append(first() is None)
-        return patches()
-
-    ps = patches()
-    first = weakref.ref(ps.data)
-    model = fit_whitening(ps, 12, recut=recut)
-    reference = fit_whitening(patches(), 12)
-    for name in ("transform", "inverse", "eigenvalues"):
-        assert getattr(model, name).tobytes() == getattr(reference, name).tobytes()
-    assert ps.data.tobytes() == patches().data.tobytes()
-    # With more pixels than samples the first array is freed before the
-    # solver runs; otherwise the fit never gives it up.
-    assert recut_calls == ([True] if count < side * side else [])
-
-
-@pytest.mark.parametrize("count, side, recut", [(40, 8, False), (40, 8, True), (400, 4, False)],
-                         ids=["p>T", "p>T-recut", "p<=T"])
-def test_map_back_is_the_snapshot_formula_in_the_transform_layout(count, side, recut):
-    def patches():
-        return random_patches(np.random.default_rng(11), count, side)
-
-    model = fit_whitening(patches(), 12, recut=patches if recut else None)
+def test_map_back_is_the_snapshot_formula_in_the_transform_layout(count, side):
+    ps = random_patches(np.random.default_rng(11), count, side)
+    data = ps.data
+    before = data.tobytes()
+    model = fit_whitening(ps, 12)
+    # The fit leaves its argument as it was.
+    assert ps.data is data and data.tobytes() == before
     assert model.transform.flags.c_contiguous and model.inverse.flags.c_contiguous
     # X^T u / sqrt(lambda T), then the sign fix, then the scale, as (p, k).
-    data = patches().data
     snapshots = count < side * side
     values, vectors = top_eigh((data @ data.T if snapshots else data.T @ data) / count, 12)
     if snapshots:
